@@ -33,7 +33,7 @@ from .data import (
     SPLIT_PRESETS,
 )
 from .errors import ConfigError, DataError, FcxsError, NumericError
-from .evaluation import evaluate, export_masks, predict_masks, records_from_csv, records_to_csv
+from .evaluation import evaluate, export_masks, records_from_csv, records_to_csv
 from .gradcheck import gradcheck_network
 from .losses import LossConfig
 from .models import (
@@ -201,23 +201,21 @@ def cmd_eval(args) -> int:
     if not test_samples:
         raise DataError("test split is empty")
 
-    predictor = nets[0] if len(nets) == 1 else nets
+    def export(sample, masks):
+        export_masks(out_dir / "predictions", raw_by_id[sample.id], masks, overlays=cfg.eval.overlays)
+
     records, table = evaluate(
-        predictor,
+        nets[0] if len(nets) == 1 else nets,
         test_samples,
         epsilon=cfg.eval.epsilon,
         spacing=cfg.eval.spacing,
         with_surface_distance=cfg.eval.surface_distance,
         label=f"{','.join(Path(p).name for p in args.checkpoint)}",
+        on_masks=export if cfg.eval.export_masks else None,
     )
     (out_dir / "records.csv").write_text(records_to_csv(records))
     (out_dir / "report.csv").write_text(table.to_csv())
     (out_dir / "report.txt").write_text(table.to_text() + "\n")
-    if cfg.eval.export_masks:
-        mask_dir = out_dir / "predictions"
-        for sample in test_samples:
-            masks = predict_masks(predictor, sample, cfg.eval.epsilon)
-            export_masks(mask_dir, raw_by_id[sample.id], masks, overlays=cfg.eval.overlays)
     print(table.to_text())
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,8 +92,14 @@ def evaluate(
     spacing: float = 1.0,
     with_surface_distance: bool = True,
     label: str = "evaluation",
+    on_masks: Optional[Callable[[Sample, np.ndarray], None]] = None,
 ) -> tuple[list[EvalRecord], ReportTable]:
-    """Score every sample per class; aggregation follows the stable id order."""
+    """Score every sample per class; aggregation follows the stable id order.
+
+    ``on_masks(sample, masks)``, when given, receives each sample's
+    predicted (3,H,W) masks, so callers that also export them need no
+    second forward pass.
+    """
     if not samples:
         raise DataError("evaluate: empty test set")
     first = nets[0] if isinstance(nets, (list, tuple)) else nets
@@ -103,6 +109,8 @@ def evaluate(
         gt = build_groundtruth(sample, encoding)
         targets = organ_masks(gt)
         preds = predict_masks(nets, sample, epsilon)
+        if on_masks is not None:
+            on_masks(sample, preds)
         for c, name in enumerate(CLASS_NAMES):
             d = dice(preds[c], targets[c])
             sd = (

@@ -109,8 +109,11 @@ class Tensor:
                 f"gradient shape {delta.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += delta
+            # a copy, never a view: ops such as concat_channels pass views
+            # of their upstream gradient, and later deltas add in place
+            self.grad = delta.astype(self.data.dtype)
+        else:
+            self.grad += delta
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -155,6 +155,23 @@ class TestEvalCommand:
         overlays = list((out / "predictions").glob("*_overlay.png"))
         assert len(overlays) == 6
 
+    def test_one_forward_pass_per_test_image(self, trained, monkeypatch):
+        from fcxs.models import Network
+
+        tmp_path, cfg = trained
+        out = tmp_path / "out"
+        forward, calls = Network.forward, []
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("mode"))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(out / "best.fcxs")]) == 0
+        # 2 test images; the exported masks come from the scoring pass
+        assert calls == ["infer", "infer"]
+        assert len(list((out / "predictions").glob("*_overlay.png"))) == 6
+
     def test_duplicate_checkpoint_ensemble_identical(self, trained):
         tmp_path, cfg = trained
         out = tmp_path / "out"

@@ -147,14 +147,18 @@ class TestConv2d:
             out = ops.conv2d(x, w, Tensor(np.zeros(2)), stride=1)
             assert out.shape == (1, 2, 7, 9)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize(
+        "batch,stride,kernel", [(n, s, k) for n in (1, 2) for s in (1, 2) for k in (1, 2, 3)]
+    )
+    def test_gradients_match_finite_differences(self, batch, stride, kernel):
+        # batch 2 checks the weight gradient summed over samples
         rng = Rng(3)
-        x = rand64(rng.child(0), (1, 2, 5, 5))
-        w = rand64(rng.child(1), (3, 2, 3, 3))
+        x = rand64(rng.child(0), (batch, 2, 5, 5))
+        w = rand64(rng.child(1), (3, 2, kernel, kernel))
         b = rand64(rng.child(2), (3,))
 
         def loss():
-            return T.tsum(ops.elu(ops.conv2d(x, w, b, stride=2)))
+            return T.tsum(ops.elu(ops.conv2d(x, w, b, stride=stride)))
 
         loss().backward()
         for p in (x, w, b):

@@ -120,3 +120,50 @@ class TestRng:
 
     def test_permutation_deterministic(self):
         np.testing.assert_array_equal(Rng(9).permutation(20), Rng(9).permutation(20))
+
+
+class TestGradientBuffers:
+    def test_first_delta_is_copied_not_aliased(self):
+        from fcxs.ops import concat_channels
+
+        # x feeds both halves of the concat, so its first delta is a view of
+        # the concat's upstream gradient and its second one is added on top
+        x = Tensor(np.arange(18, dtype=np.float32).reshape(1, 2, 3, 3), requires_grad=True)
+        x_before = x.data.copy()
+        cat = concat_channels(x, x)
+        cat_before = cat.data.copy()
+        weights = np.arange(36, dtype=np.float32).reshape(1, 4, 3, 3)
+        T.tsum(T.mul(cat, weights)).backward()
+        np.testing.assert_array_equal(cat.grad, weights)
+        np.testing.assert_array_equal(cat.data, cat_before)
+        np.testing.assert_array_equal(x.data, x_before)
+        np.testing.assert_array_equal(x.grad, weights[:, :2] + weights[:, 2:])
+        assert not np.shares_memory(x.grad, cat.grad)
+
+    def test_first_delta_equal_to_upstream_is_copied(self):
+        # add passes its upstream gradient array itself to both operands
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        y = T.add(x, x)
+        T.tsum(y).backward()
+        np.testing.assert_array_equal(y.grad, np.ones((2, 3), dtype=np.float32))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0, dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_gradient_keeps_input_dtype(self, dtype, monkeypatch):
+        from fcxs.ops import elu
+
+        deltas = []
+        accumulate = Tensor.accumulate_grad
+
+        def recording(self, delta):
+            deltas.append(delta)
+            accumulate(self, delta)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+        x = Tensor(np.array([-1.5, -0.25, 0.0, 0.5, 2.0], dtype=dtype), requires_grad=True)
+        out = elu(x)
+        assert out.dtype == dtype
+        out._backward_fn(np.full(5, 2.0, dtype=dtype))
+        assert deltas[-1].dtype == dtype and x.grad.dtype == dtype
+        expected = 2.0 * np.where(x.data > 0, 1.0, np.exp(x.data.astype(np.float64)))
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-6)
