@@ -63,6 +63,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if magic not in (b"P5", b"P2"):
         raise DataError(f"{path}: not a PGM file (magic {magic!r})")
     (width, height, maxval), offset = _read_pgm_tokens(blob[2:], 3)
+    if not 0 < maxval < 65536:
+        raise DataError(f"{path}: PGM maxval must be in [1, 65535], got {maxval}")
     offset += 2
     if magic == b"P2":
         values = np.array(blob[offset - 1 :].split(), dtype=np.uint32)

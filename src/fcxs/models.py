@@ -24,12 +24,16 @@ Differences between the variants:
 
 Networks are static step programs: each step names a layer and the
 steps it reads from, so the forward pass is a topologically ordered
-walk that caches every intermediate tensor.
+walk.  The walk releases each intermediate tensor after its last reader
+has run; in training the autodiff tape still holds every intermediate
+for the backward pass, while under ``no_grad`` (inference) a skip
+feature lives only until its concatenation.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -39,7 +43,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, DataError, ShapeError
 from .rng import Rng
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 ARCHITECTURES = ("unet_original", "all_dropout", "all_convolutional", "invertednet")
 HEADS = ("sigmoid", "softmax")
@@ -245,6 +249,11 @@ class Network:
             for src in step.inputs:
                 if src >= idx or src < -1:
                     raise ConfigError(f"step {step.name} reads from an invalid step index {src}")
+        # forward drops each step output once its last reader has run
+        last_reader = {src: idx for idx, step in enumerate(steps) for src in step.inputs if src >= 0}
+        self._dead_after: list[list[int]] = [[] for _ in steps]
+        for src, idx in last_reader.items():
+            self._dead_after[idx].append(src)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -274,13 +283,14 @@ class Network:
             raise ShapeError(
                 f"expected {self.config.input_resolution}x{self.config.input_resolution} input, got {h}x{w}"
             )
-        outputs: list[Tensor] = []
-        for step in self.steps:
+        outputs: list[Optional[Tensor]] = [None] * len(self.steps)
+        for idx, step in enumerate(self.steps):
             xs = [x if i == -1 else outputs[i] for i in step.inputs]
-            out = step.layer.forward(xs, mode, rng)
-            outputs.append(out)
+            outputs[idx] = step.layer.forward(xs, mode, rng)
             if trace is not None:
-                trace.append((step.name, out.shape))
+                trace.append((step.name, outputs[idx].shape))
+            for src in self._dead_after[idx]:
+                outputs[src] = None
         return outputs[-1]
 
     def astype(self, dtype) -> "Network":
@@ -519,20 +529,30 @@ def load_checkpoint(path) -> Network:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        fixed = fh.read(8)
+        if len(fixed) != 8:
+            raise DataError(f"{path}: truncated checkpoint header")
+        version, header_len = struct.unpack("<II", fixed)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        config = ArchConfig.from_dict(header["config"])
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise DataError(f"{path}: header length {header_len} runs past the end of the file")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            config = ArchConfig.from_dict(header["config"])
+            manifest = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["manifest"]]
+            if any(d < 0 for _, shape in manifest for d in shape):
+                raise ValueError("negative dimension in the manifest")
+        except (ValueError, KeyError, TypeError) as exc:  # ConfigError and decode errors are ValueErrors
+            raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         net = build_network(config)
         arrays = {}
-        for entry in header["manifest"]:
-            shape = tuple(entry["shape"])
+        for name, shape in manifest:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(4 * count)
             if len(raw) != 4 * count:
-                raise DataError(f"{path}: truncated parameter data for {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+                raise DataError(f"{path}: truncated parameter data for {name}")
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         trailing = fh.read(1)
         if trailing:
             raise DataError(f"{path}: trailing bytes after parameter data")
@@ -544,8 +564,13 @@ def load_checkpoint(path) -> Network:
 
 
 def organ_probabilities(net: Network, image) -> np.ndarray:
-    """Per-organ probability maps (3,H,W); drops the softmax background channel."""
-    probs = net.forward(image, mode="infer").data[0]
+    """Per-organ probability maps (3,H,W); drops the softmax background channel.
+
+    The tape-free entry point: the forward runs under ``no_grad``, so no
+    autodiff graph is recorded and each activation is freed once read.
+    """
+    with no_grad():
+        probs = net.forward(image, mode="infer").data[0]
     return probs[1:] if net.config.head == "softmax" else probs
 
 

@@ -15,6 +15,14 @@ only parameter data is updated in place by the optimizer between steps.
 Every operation checks its result for NaN/Inf (a hard error per the
 numeric contract); disable via ``set_finite_checks(False)`` in hot loops
 that are already covered upstream.
+
+Inside a ``no_grad()`` block operations record nothing: results have
+``requires_grad=False``, no parents and no backward closure, so the
+buffers a closure would keep for the backward pass (im2col columns,
+padded inputs, activation masks) are freed as soon as the operation
+returns.  Inference runs this way; ``backward`` on such a result raises
+``GraphStateError``.  Recording resumes when the block exits, also on
+an exception.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .errors import GraphStateError, NumericError, ShapeError
 Scalar = Union[int, float]
 
 _FINITE_CHECKS = True
+_RECORDING = True
 
 
 def finite_checks_enabled() -> bool:
@@ -48,6 +57,18 @@ def finite_checks(enabled: bool):
         yield
     finally:
         set_finite_checks(previous)
+
+
+@contextmanager
+def no_grad():
+    """Run operations without recording the autodiff graph."""
+    global _RECORDING
+    previous = _RECORDING
+    _RECORDING = False
+    try:
+        yield
+    finally:
+        _RECORDING = previous
 
 
 def _require_finite(data: np.ndarray, where: str) -> None:
@@ -199,9 +220,12 @@ def make_op(
     backward_fn: Optional[Callable[[np.ndarray], None]],
     where: str,
 ) -> Tensor:
-    """Wrap an op result, propagating requires_grad and checking finiteness."""
+    """Wrap an op result, propagating requires_grad and checking finiteness.
+
+    Under ``no_grad()`` the parents and the backward closure are dropped.
+    """
     _require_finite(data, where)
-    needs_grad = any(p.requires_grad for p in parents)
+    needs_grad = _RECORDING and any(p.requires_grad for p in parents)
     if not needs_grad:
         backward_fn = None
         parents = ()

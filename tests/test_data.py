@@ -278,6 +278,17 @@ class TestImageIO:
         arr, maxval = read_pgm(path)
         np.testing.assert_array_equal(arr, [[0, 1, 2], [3, 4, 5]])
 
+    @pytest.mark.parametrize(
+        "blob",
+        [b"P5\n2 2\n0\n\x00\x00\x00\x00", b"P2\n2 2\n65536\n0 1\n2 3\n"],
+        ids=["p5_maxval_0", "p2_maxval_65536"],
+    )
+    def test_pgm_maxval_out_of_range_rejected(self, tmp_path, blob):
+        path = tmp_path / "bad_maxval.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="maxval"):
+            read_pgm(path)
+
     def test_png_roundtrip_gray8(self, tmp_path):
         arr = np.arange(64, dtype=np.uint8).reshape(8, 8) * 3
         path = tmp_path / "a.png"

@@ -1,3 +1,9 @@
+import json
+import re
+import struct
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -279,6 +285,75 @@ class TestForwardSemantics:
             assert p.grad.shape == p.data.shape
 
 
+def _traced_peak_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeFreeInference:
+    @pytest.mark.parametrize(
+        "arch, head, dtype",
+        [
+            (arch, head, np.float32)
+            for arch in ("unet_original", "all_dropout", "all_convolutional", "invertednet")
+            for head in ("sigmoid", "softmax")
+        ]
+        + [("invertednet", "sigmoid", np.float64)],
+    )
+    def test_probabilities_match_recording_forward(self, arch, head, dtype):
+        net = build_network(small_config(arch, head=head, init_seed=12), dtype=dtype)
+        x = Rng(12).normal((1, 1, 16, 16), dtype=dtype)
+        recorded = net.forward(x, mode="infer")
+        assert recorded._parents  # parameters require grad, so this forward is taped
+        outputs = []
+        forward = net.forward
+
+        def capturing_forward(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        net.forward = capturing_forward
+        probs = organ_probabilities(net, x)
+        (out,) = outputs
+        assert not out.requires_grad and out._parents == () and out._backward_fn is None
+        expected = recorded.data[0][1:] if head == "softmax" else recorded.data[0]
+        assert probs.dtype == dtype
+        np.testing.assert_array_equal(probs, expected)
+
+    def test_step_outputs_released_after_last_reader(self):
+        # unet_original has no dropout, which returns its input at inference,
+        # so every step output owns its own array
+        net = build_network(small_config("unet_original"))
+        last_reader = {src: idx for idx, step in enumerate(net.steps) for src in step.inputs if src >= 0}
+        refs, alive_at = [], []
+        for step in net.steps:
+
+            def forward(xs, mode, rng, layer_forward=step.layer.forward):
+                alive_at.append({i for i, ref in enumerate(refs) if ref() is not None})
+                out = layer_forward(xs, mode, rng)
+                refs.append(weakref.ref(out.data))
+                return out
+
+            step.layer.forward = forward
+        organ_probabilities(net, Rng(13).normal((1, 1, 16, 16)))
+        for idx, alive in enumerate(alive_at):
+            assert alive == {i for i in range(idx) if last_reader[i] >= idx}, net.steps[idx].name
+
+    def test_peak_memory_below_half_of_recording_forward(self):
+        net = build_network(ArchConfig(arch="invertednet", input_resolution=64, base_channels=32, init_seed=1))
+        x = Rng(1).normal((1, 1, 64, 64))
+        recording = _traced_peak_bytes(lambda: net.forward(x, mode="infer"))
+        tape_free = _traced_peak_bytes(lambda: organ_probabilities(net, x))
+        assert tape_free < recording / 2, (tape_free, recording)
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         net = build_network(small_config("invertednet", init_seed=9))
@@ -313,14 +388,36 @@ class TestCheckpoints:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
-    def test_truncated_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda data: data[: len(data) - 17], id="cut_in_parameters"),
+            pytest.param(lambda data: data[:6], id="cut_in_fixed_header"),
+            pytest.param(lambda data: data[:20], id="cut_in_json_header"),
+            pytest.param(lambda data: data[:8] + struct.pack("<I", 2**31) + data[12:], id="header_length_2_31"),
+            pytest.param(lambda data: data[:14] + bytes([data[14] ^ 0x80]) + data[15:], id="flipped_header_byte"),
+            pytest.param(lambda data: _rewrite_header(data, lambda h: h.pop("manifest")), id="no_manifest"),
+            pytest.param(
+                lambda data: _rewrite_header(data, lambda h: h["config"].update(arch="nope")), id="unknown_arch"
+            ),
+        ],
+    )
+    def test_truncated_rejected(self, tmp_path, corrupt):
         net = build_network(small_config("unet_original"))
         path = tmp_path / "net.fcxs"
         save_checkpoint(net, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 17])
-        with pytest.raises(DataError):
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(DataError, match=re.escape(str(path))):
             load_checkpoint(path)
+
+
+def _rewrite_header(data: bytes, edit) -> bytes:
+    """A v1 checkpoint whose JSON header went through ``edit`` (in place)."""
+    (length,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + length])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :]
 
 
 class _FakeNet:

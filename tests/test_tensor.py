@@ -105,6 +105,44 @@ class TestBackward:
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
+class TestNoGrad:
+    def test_ops_inside_record_nothing(self):
+        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        with T.no_grad():
+            y = T.mul(w, 2.0)
+            loss = T.tsum(y)
+        for out in (y, loss):
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward_fn is None
+        np.testing.assert_array_equal(y.data, [2.0, -4.0, 6.0])
+        with pytest.raises(GraphStateError):
+            loss.backward()
+
+    def _assert_recording(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        y = T.mul(w, 3.0)
+        assert y.requires_grad and y._parents and y._backward_fn is not None
+
+    def test_recording_resumes_after_block(self):
+        with T.no_grad():
+            pass
+        self._assert_recording()
+
+    def test_recording_resumes_after_nested_block(self):
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.mul(Tensor(np.ones(2), requires_grad=True), 3.0).requires_grad
+        self._assert_recording()
+
+    def test_recording_resumes_after_exception(self):
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.add(Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3)))
+        self._assert_recording()
+
+
 class TestRng:
     def test_same_seed_bit_identical(self):
         a = Rng(123).normal((4, 4))
