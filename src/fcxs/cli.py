@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -35,10 +36,8 @@ from .data import (
 from .errors import ConfigError, DataError, FcxsError, NumericError
 from .evaluation import evaluate, export_masks, records_from_csv, records_to_csv
 from .gradcheck import gradcheck_network
-from .losses import LossConfig
 from .models import (
     ARCHITECTURES,
-    ArchConfig,
     build_network,
     count_parameters,
     format_parameter_table,
@@ -137,22 +136,11 @@ def cmd_train(args) -> int:
     split = _split_for(cfg, [s.id for s in normed])
     save_split(split, out_dir / "split.json")
 
-    loss_config = LossConfig(cfg.loss.distance, weighted=cfg.loss.weighted)
-    arch_config = ArchConfig(
-        arch=cfg.arch.arch,
-        input_resolution=cfg.data.resolution,
-        head=loss_config.head,
-        activation=cfg.arch.activation,
-        drop_probability=cfg.arch.drop_probability,
-        base_channels=cfg.arch.base_channels,
-        init_seed=cfg.arch.init_seed,
-    )
-    net = build_network(arch_config)
     net, history = train(
-        net,
+        build_network(cfg.arch_config()),
         normed,
         split,
-        loss_config,
+        cfg.loss_config(),
         epochs=cfg.train.epochs,
         batch_size=cfg.train.batch_size,
         lr=cfg.train.lr,
@@ -180,16 +168,10 @@ def cmd_eval(args) -> int:
     cfg.echo(out_dir)
 
     nets = [load_checkpoint(p) for p in args.checkpoint]
-    resolutions = {n.config.input_resolution for n in nets}
-    heads = {(n.config.head, n.config.num_classes) for n in nets}
-    if len(resolutions) > 1 or len(heads) > 1:
+    resolutions = sorted({n.config.input_resolution for n in nets})
+    if resolutions != [cfg.data.resolution]:
         raise ConfigError(
-            f"incompatible checkpoints: resolutions {sorted(resolutions)}, heads {sorted(heads)}"
-        )
-    if resolutions != {cfg.data.resolution}:
-        raise ConfigError(
-            f"checkpoint resolution {sorted(resolutions)} does not match data.resolution "
-            f"{cfg.data.resolution}"
+            f"checkpoint resolution {resolutions} does not match data.resolution {cfg.data.resolution}"
         )
 
     samples, stats = _prepare_samples(cfg)
@@ -205,7 +187,7 @@ def cmd_eval(args) -> int:
         export_masks(out_dir / "predictions", raw_by_id[sample.id], masks, overlays=cfg.eval.overlays)
 
     records, table = evaluate(
-        nets[0] if len(nets) == 1 else nets,
+        nets,
         test_samples,
         epsilon=cfg.eval.epsilon,
         spacing=cfg.eval.spacing,
@@ -221,29 +203,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_params(args) -> int:
-    cfg = load_run_config(args.config)
-    loss_config = LossConfig(cfg.loss.distance, weighted=cfg.loss.weighted)
-    arch_config = ArchConfig(
-        arch=cfg.arch.arch,
-        input_resolution=cfg.data.resolution,
-        head=loss_config.head,
-        activation=cfg.arch.activation,
-        drop_probability=cfg.arch.drop_probability,
-        base_channels=cfg.arch.base_channels,
-        init_seed=cfg.arch.init_seed,
-    )
+    arch_config = load_run_config(args.config).arch_config()
     net = build_network(arch_config)
     print(format_parameter_table(net))
     print(f"\n{arch_config.arch} @ {arch_config.input_resolution}: {count_parameters(net):,} parameters")
 
     counts = {}
     for arch in ARCHITECTURES:
-        counts[arch] = count_parameters(
-            build_network(
-                ArchConfig(arch=arch, input_resolution=cfg.data.resolution, head=loss_config.head)
-            )
-        )
-    print(f"\nreference totals at default widths ({loss_config.head} head):")
+        default_width = dataclasses.replace(arch_config, arch=arch, base_channels=None)
+        counts[arch] = count_parameters(build_network(default_width))
+    print(f"\nreference totals at default widths ({arch_config.head} head):")
     for arch, n in counts.items():
         print(f"  {arch:<18s} {n:>12,}")
     print(

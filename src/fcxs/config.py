@@ -1,9 +1,10 @@
 """Run configuration: one JSON document driving data, architecture,
 loss, training, and evaluation.
 
-Validation is strict (unknown keys are rejected) and total: every
-problem in the document is collected and reported in one error.  The
-fully resolved configuration (defaults filled in) is echoed to
+Validation is strict (unknown keys and values of the wrong JSON type are
+rejected) and total: every problem in the document is collected and
+reported in one error.  The loss alone sets the ground-truth encoding.
+The fully resolved configuration (defaults filled in) is echoed to
 ``config.resolved.json`` in the output directory, and feeding that file
 back reproduces the run.
 """
@@ -11,14 +12,14 @@ back reproduces the run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
-from .data import ENCODINGS, SPLIT_PRESETS
+from .data import SPLIT_PRESETS
 from .errors import ConfigError
-from .losses import DISTANCES
-from .models import ACTIVATIONS, ARCHITECTURES
+from .losses import LossConfig, head_for
+from .models import ArchConfig
 
 
 @dataclass
@@ -32,7 +33,6 @@ class DataConfig:
     root: Optional[str] = None
     synthetic: Optional[SyntheticConfig] = None
     resolution: int = 64
-    encoding: Optional[str] = None  # derived from the loss when omitted
 
 
 @dataclass
@@ -91,15 +91,23 @@ class RunConfig:
     eval: EvalSection = field(default_factory=EvalSection)
     output: OutputSection = field(default_factory=OutputSection)
 
-    def resolved_encoding(self) -> str:
-        if self.data.encoding is not None:
-            return self.data.encoding
-        return "entropy" if self.loss.distance == "cross_entropy" else "dice"
+    def loss_config(self) -> LossConfig:
+        return LossConfig(self.loss.distance, weighted=self.loss.weighted)
+
+    def arch_config(self) -> ArchConfig:
+        """The network this run trains; the loss picks its head."""
+        return ArchConfig(
+            arch=self.arch.arch,
+            input_resolution=self.data.resolution,
+            head=head_for(self.loss.distance),
+            activation=self.arch.activation,
+            drop_probability=self.arch.drop_probability,
+            base_channels=self.arch.base_channels,
+            init_seed=self.arch.init_seed,
+        )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["data"]["encoding"] = self.resolved_encoding()
-        return d
+        return asdict(self)
 
     def echo(self, directory) -> Path:
         path = Path(directory) / "config.resolved.json"
@@ -108,75 +116,66 @@ class RunConfig:
         return path
 
 
-_SECTIONS = {
-    "data": (DataConfig, {"synthetic": SyntheticConfig}),
-    "arch": (ArchSection, {}),
-    "loss": (LossSection, {}),
-    "train": (TrainSection, {"split": SplitSection}),
-    "eval": (EvalSection, {}),
-    "output": (OutputSection, {}),
+_JSON_TYPES = {
+    bool: "boolean", int: "integer", float: "number", str: "string", list: "array", dict: "object", type(None): "null"
 }
 
+# ArchConfig fields that a run config sets from outside the arch section
+_ARCH_KEYS = {"input_resolution": "data.resolution"}
 
-def _build_section(cls, nested, payload, where, errors):
-    if not isinstance(payload, dict):
-        errors.append(f"{where}: expected an object, got {type(payload).__name__}")
-        return cls()
-    fields = cls.__dataclass_fields__
-    unknown = set(payload) - set(fields)
-    for key in sorted(unknown):
-        errors.append(f"{where}.{key}: unknown key")
+
+def _build(cls, payload: dict, where: str, errors: list[str]):
+    """``cls`` from a JSON object, each key and value type checked against
+    the dataclass fields; problems go to ``errors`` and their keys keep
+    the defaults.  An int fits a float field; a bool fits only a bool field.
+    """
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in payload.items():
-        if key in unknown:
+        name = f"{where}.{key}" if where else key
+        if key not in hints:
+            errors.append(f"{name}: unknown key")
             continue
-        if key in nested and value is not None:
-            kwargs[key] = _build_section(nested[key], {}, value, f"{where}.{key}", errors)
-        else:
+        args = [a for a in get_args(hints[key]) if a is not type(None)]
+        expected, optional = (args[0], True) if args else (hints[key], False)
+        if value is None and optional:
+            kwargs[key] = None
+        elif is_dataclass(expected) and type(value) is dict:
+            kwargs[key] = _build(expected, value, name, errors)
+        elif type(value) is expected or (expected is float and type(value) is int):
             kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        errors.append(f"{where}: {exc}")
-        return cls()
+        else:
+            wanted = _JSON_TYPES.get(expected, "object") + (" or null" if optional else "")
+            errors.append(f"{name}: expected {wanted}, got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return cls(**kwargs)
 
 
 def parse_run_config(payload: dict) -> RunConfig:
-    """Validate a config document; all problems are reported together."""
+    """Validate a config document; all problems are reported together.
+
+    The architecture and loss rules live in ``ArchConfig`` and
+    ``LossConfig``; their problems are reported under the run-config
+    keys that set them.
+    """
     errors: list[str] = []
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(payload) - set(_SECTIONS)
-    for key in sorted(unknown):
-        errors.append(f"{key}: unknown section")
-    sections = {}
-    for name, (cls, nested) in _SECTIONS.items():
-        sections[name] = _build_section(cls, nested, payload.get(name, {}), name, errors)
-    cfg = RunConfig(**sections)
+    cfg = _build(RunConfig, payload, "", errors)
 
-    data, arch, loss, tr = cfg.data, cfg.arch, cfg.loss, cfg.train
+    for section, build in (("loss", cfg.loss_config), ("arch", cfg.arch_config)):
+        try:
+            build()
+        except ConfigError as exc:
+            for line in str(exc).splitlines():
+                key, _, reason = line.partition(": ")
+                errors.append(f"{_ARCH_KEYS.get(key, f'{section}.{key}')}: {reason}")
+    data, tr = cfg.data, cfg.train
     if data.root is None and data.synthetic is None:
         errors.append("data: either data.root or data.synthetic is required")
     if data.root is not None and data.synthetic is not None:
         errors.append("data: data.root and data.synthetic are mutually exclusive")
-    if data.resolution % 16 != 0 or data.resolution <= 0:
-        errors.append(f"data.resolution: must be a positive multiple of 16, got {data.resolution}")
-    if data.encoding is not None and data.encoding not in ENCODINGS:
-        errors.append(f"data.encoding: {data.encoding!r} not one of {ENCODINGS}")
     if data.synthetic is not None and data.synthetic.n < 1:
         errors.append(f"data.synthetic.n: must be >= 1, got {data.synthetic.n}")
-    if arch.arch not in ARCHITECTURES:
-        errors.append(f"arch.arch: {arch.arch!r} not one of {ARCHITECTURES}")
-    if arch.activation not in ACTIVATIONS:
-        errors.append(f"arch.activation: {arch.activation!r} not one of {ACTIVATIONS}")
-    if not 0.0 <= arch.drop_probability < 1.0:
-        errors.append(f"arch.drop_probability: must be in [0, 1), got {arch.drop_probability}")
-    if loss.distance not in DISTANCES:
-        errors.append(f"loss.distance: {loss.distance!r} not one of {DISTANCES}")
-    if loss.distance == "cross_entropy" and cfg.resolved_encoding() != "entropy":
-        errors.append("loss/data: cross_entropy requires the 'entropy' encoding")
-    if loss.distance == "dice" and cfg.resolved_encoding() != "dice":
-        errors.append("loss/data: dice requires the 'dice' encoding")
     if tr.epochs < 1:
         errors.append(f"train.epochs: must be >= 1, got {tr.epochs}")
     if tr.batch_size < 1:

@@ -7,12 +7,7 @@ Two ground-truth encodings exist, paired with the two loss heads:
   overlaps permitted; lungs keep any clavicle overlap).
 * ``entropy`` -- four disjoint channels (background, lungs, clavicles,
   heart) that partition the pixel grid.  Overlaps are resolved with
-  priority clavicles > heart > lungs, and the integer label matrix is
-  the channel-index-weighted sum of the organ masks.
-
-Projections recover single-class masks from either encoding; for the
-disjoint encoding, label-matrix construction and projection are exact
-inverses of each other.
+  priority clavicles > heart > lungs.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from .imageio import read_gray, write_pgm
 from .rng import Rng
 
 CLASS_NAMES = ("lungs", "clavicles", "heart")
-ENTROPY_CLASS_NAMES = ("background",) + CLASS_NAMES
 ENCODINGS = ("dice", "entropy")
 SPLIT_PRESETS = {
     "60/7/33": (0.60, 0.07, 0.33),
@@ -66,15 +60,10 @@ class Sample:
 
 @dataclass
 class GroundTruth:
-    """Per-image class channels; disjoint with a label matrix for 'entropy'."""
+    """Per-image class channels; disjoint (background first) for 'entropy'."""
 
     encoding: str
     channels: np.ndarray  # (L, H, W) uint8
-    label_matrix: Optional[np.ndarray] = None  # (H, W) int16, entropy only
-
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return ENTROPY_CLASS_NAMES if self.encoding == "entropy" else CLASS_NAMES
 
 
 def build_groundtruth(sample: Sample, encoding: str) -> GroundTruth:
@@ -89,19 +78,7 @@ def build_groundtruth(sample: Sample, encoding: str) -> GroundTruth:
     lungs_d = lungs & ~clav & ~heart_d
     background = ~(clav | heart_d | lungs_d)
     channels = np.stack([background, lungs_d, clav, heart_d]).astype(np.uint8)
-    label = np.zeros(lungs.shape, dtype=np.int16)
-    for idx in range(1, 4):
-        label += idx * channels[idx].astype(np.int16)
-    return GroundTruth("entropy", channels, label)
-
-
-def project_class(gt: GroundTruth, l: int) -> np.ndarray:
-    """The class-l binary mask; inverse of label-matrix construction."""
-    if not 0 <= l < gt.channels.shape[0]:
-        raise ConfigError(f"class index {l} out of range for {gt.encoding} encoding")
-    if gt.encoding == "entropy":
-        return (gt.label_matrix == l).astype(np.uint8)
-    return gt.channels[l].copy()
+    return GroundTruth("entropy", channels)
 
 
 # -- normalization ---------------------------------------------------------------
@@ -128,17 +105,19 @@ def compute_norm_stats(samples: Sequence[Sample]) -> NormStats:
     return NormStats(float(pixels.mean()), float(pixels.std()))
 
 
-def apply_norm(sample: Sample, stats: NormStats) -> Sample:
+def normalize_image(image: np.ndarray, stats: NormStats) -> np.ndarray:
     """Zero-center then scale by the training std (skipped when degenerate)."""
-    image = sample.image.astype(np.float32) - np.float32(stats.mean)
+    image = image.astype(np.float32) - np.float32(stats.mean)
+    return image if stats.std < STD_GUARD else image / np.float32(stats.std)
+
+
+def apply_norm(sample: Sample, stats: NormStats) -> Sample:
     if stats.std < STD_GUARD:
         warnings.warn(
             f"{sample.id}: training std {stats.std:.3e} below guard; scaling skipped",
             stacklevel=2,
         )
-    else:
-        image = image / np.float32(stats.std)
-    return Sample(sample.id, image, sample.masks)
+    return Sample(sample.id, normalize_image(sample.image, stats), sample.masks)
 
 
 def normalize_samples(samples: Sequence[Sample], stats: NormStats) -> list[Sample]:

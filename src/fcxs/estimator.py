@@ -23,13 +23,14 @@ from .data import (
     NormStats,
     Sample,
     compute_norm_stats,
+    normalize_image,
     normalize_samples,
     split_dataset,
 )
 from .errors import ConfigError
 from .losses import LossConfig
-from .metrics import certain_pixels, dice, jaccard_from_dice
-from .models import ArchConfig, build_network, organ_probabilities
+from .metrics import dice, jaccard_from_dice
+from .models import ArchConfig, build_network, ensemble_predict, organ_probabilities
 from .training import train
 from .validation import check_image_batch, check_is_fitted, check_mask_batch
 
@@ -150,10 +151,7 @@ class FCNSegmenter:
                 f"X resolution {X.shape[2]} does not match the fitted model "
                 f"({self.net_.config.input_resolution})"
             )
-        X = X - np.float32(self.norm_stats_.mean)
-        if self.norm_stats_.std >= 1e-8:
-            X = X / np.float32(self.norm_stats_.std)
-        return X
+        return normalize_image(X, self.norm_stats_)
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-organ probability maps, (n, 3, H, W) float32."""
@@ -163,10 +161,8 @@ class FCNSegmenter:
 
     def predict(self, X) -> np.ndarray:
         """Thresholded per-organ masks, (n, 3, H, W) uint8."""
-        probs = self.predict_proba(X)
-        return np.stack(
-            [np.stack([certain_pixels(p, self.epsilon) for p in sample]) for sample in probs]
-        )
+        check_is_fitted(self)
+        return np.stack([ensemble_predict([self.net_], x, self.epsilon) for x in self._normalized(X)])
 
     def score(self, X, y) -> float:
         """Mean Jaccard over images and organ classes."""

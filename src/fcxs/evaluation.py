@@ -5,7 +5,7 @@ surface distances, report tables, and mask/overlay exports.
 strict-majority ensemble) and produces one EvalRecord per (image,
 class) plus a ReportTable of per-class means.  Scores use the encoding
 matching the head: overlapping organ masks for sigmoid heads, disjoint
-projections for softmax heads.
+organ channels for softmax heads.
 """
 
 from __future__ import annotations
@@ -20,15 +20,8 @@ import numpy as np
 from .data import CLASS_NAMES, Sample, build_groundtruth
 from .errors import DataError
 from .imageio import write_pgm, write_png
-from .metrics import (
-    DEFAULT_EPSILON,
-    boundary_pixels,
-    certain_pixels,
-    dice,
-    jaccard_from_dice,
-    surface_distance_symmetric,
-)
-from .models import Network, ensemble_predict, organ_probabilities
+from .metrics import DEFAULT_EPSILON, boundary_pixels, dice, jaccard_from_dice, surface_distance_symmetric
+from .models import Network, ensemble_predict
 from .training import organ_masks
 
 
@@ -73,18 +66,6 @@ class ReportTable:
         return "\n".join(lines)
 
 
-def predict_masks(
-    nets: Union[Network, Sequence[Network]],
-    sample: Sample,
-    epsilon: float = DEFAULT_EPSILON,
-) -> np.ndarray:
-    """Per-organ binary masks (3,H,W) from one network or an ensemble vote."""
-    if isinstance(nets, (list, tuple)):
-        return ensemble_predict(list(nets), sample.image, epsilon)
-    probs = organ_probabilities(nets, sample.image)
-    return np.stack([certain_pixels(p, epsilon) for p in probs])
-
-
 def evaluate(
     nets: Union[Network, Sequence[Network]],
     samples: Sequence[Sample],
@@ -102,13 +83,13 @@ def evaluate(
     """
     if not samples:
         raise DataError("evaluate: empty test set")
-    first = nets[0] if isinstance(nets, (list, tuple)) else nets
-    encoding = "entropy" if first.config.head == "softmax" else "dice"
+    nets = list(nets) if isinstance(nets, (list, tuple)) else [nets]
+    encoding = "entropy" if nets[0].config.head == "softmax" else "dice"
     records: list[EvalRecord] = []
     for sample in samples:
         gt = build_groundtruth(sample, encoding)
         targets = organ_masks(gt)
-        preds = predict_masks(nets, sample, epsilon)
+        preds = ensemble_predict(nets, sample.image, epsilon)
         if on_masks is not None:
             on_masks(sample, preds)
         for c, name in enumerate(CLASS_NAMES):

@@ -36,21 +36,25 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
         fh.write(data.tobytes())
 
 
-def _read_pgm_tokens(blob: bytes, count: int) -> tuple[list[int], int]:
+def _read_pgm_tokens(path, blob: bytes, count: int) -> tuple[list[int], int]:
     tokens: list[int] = []
     pos = 0
     while len(tokens) < count:
         if pos >= len(blob):
-            raise DataError("truncated PGM header")
+            raise DataError(f"{path}: truncated PGM header")
         ch = blob[pos : pos + 1]
         if ch == b"#":
-            pos = blob.index(b"\n", pos) + 1
+            pos = blob.find(b"\n", pos) + 1
+            if pos == 0:
+                raise DataError(f"{path}: PGM header comment has no closing newline")
         elif ch.isspace():
             pos += 1
         else:
             end = pos
             while end < len(blob) and not blob[end : end + 1].isspace():
                 end += 1
+            if not blob[pos:end].isdigit():
+                raise DataError(f"{path}: non-numeric PGM header token {blob[pos:end][:16]!r}")
             tokens.append(int(blob[pos:end]))
             pos = end
     return tokens, pos + 1  # single whitespace after maxval
@@ -62,15 +66,20 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     magic = blob[:2]
     if magic not in (b"P5", b"P2"):
         raise DataError(f"{path}: not a PGM file (magic {magic!r})")
-    (width, height, maxval), offset = _read_pgm_tokens(blob[2:], 3)
+    (width, height, maxval), offset = _read_pgm_tokens(path, blob[2:], 3)
     if not 0 < maxval < 65536:
         raise DataError(f"{path}: PGM maxval must be in [1, 65535], got {maxval}")
+    if width == 0 or height == 0:
+        raise DataError(f"{path}: PGM size must be positive, got {width}x{height}")
     offset += 2
     if magic == b"P2":
-        values = np.array(blob[offset - 1 :].split(), dtype=np.uint32)
-        if values.size != width * height:
-            raise DataError(f"{path}: expected {width * height} samples, got {values.size}")
-        return values.reshape(height, width).astype(np.uint16), maxval
+        samples = blob[offset - 1 :].split()
+        values = [int(s) for s in samples if s.isdigit()]
+        if len(values) != len(samples) or any(v > maxval for v in values):
+            raise DataError(f"{path}: P2 samples must be integers in [0, {maxval}]")
+        if len(values) != width * height:
+            raise DataError(f"{path}: expected {width * height} samples, got {len(values)}")
+        return np.array(values, dtype=np.uint16).reshape(height, width), maxval
     dtype = ">u2" if maxval > 255 else "u1"
     itemsize = 2 if maxval > 255 else 1
     raw = blob[offset : offset + width * height * itemsize]

@@ -37,6 +37,11 @@ PROB_CLAMP = 1e-7
 DISTANCES = ("cross_entropy", "dice")
 
 
+def head_for(distance: str) -> str:
+    """The output head a distance trains: softmax for cross entropy, sigmoid otherwise."""
+    return "softmax" if distance == "cross_entropy" else "sigmoid"
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Distance choice plus whether inverse class-frequency weights apply."""
@@ -46,11 +51,11 @@ class LossConfig:
 
     def __post_init__(self):
         if self.distance not in DISTANCES:
-            raise ConfigError(f"unknown distance {self.distance!r}; expected one of {DISTANCES}")
+            raise ConfigError(f"distance: unknown distance {self.distance!r}; expected one of {DISTANCES}")
 
     @property
     def head(self) -> str:
-        return "softmax" if self.distance == "cross_entropy" else "sigmoid"
+        return head_for(self.distance)
 
     @property
     def encoding(self) -> str:
@@ -97,47 +102,13 @@ def class_weights(ground_truths) -> np.ndarray:
     return counts / total
 
 
-def distance_cross_entropy(p: Tensor, ground_truth, l: int) -> Tensor:
-    """Masked mean log-probability for class l (a non-positive scalar)."""
-    chi = _as_channel_stack(ground_truth)
-    _check_match(p, chi, l)
-    selector = np.zeros(p.shape, dtype=p.data.dtype)
-    selector[:, l] = chi[:, l]
-    c_total = float(chi.shape[0] * chi.shape[2] * chi.shape[3])
-    clamped = T.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return T.mul(T.tsum(T.mul(T.log(clamped), Tensor(selector))), 1.0 / c_total)
-
-
-def distance_dice(p: Tensor, ground_truth, l: int) -> Tensor:
-    """Soft Dice overlap for class l, in [0, 1]; empty-vs-empty counts as 1."""
-    chi = _as_channel_stack(ground_truth)
-    _check_match(p, chi, l)
-    selector = np.zeros(p.shape, dtype=p.data.dtype)
-    selector[:, l] = chi[:, l]
-    only_l = np.zeros(p.shape, dtype=p.data.dtype)
-    only_l[:, l] = 1.0
-    chi_sum = float(selector.sum())
-    p_sum = float((p.data * only_l).sum())
-    smooth = 1.0 if (chi_sum == 0.0 and p_sum == 0.0) else 0.0
-    numer = T.add(T.mul(T.tsum(T.mul(p, Tensor(selector))), 2.0), smooth)
-    denom = T.add(T.tsum(T.mul(p, Tensor(only_l))), chi_sum + smooth)
-    return T.div(numer, denom)
-
-
-def _check_match(p: Tensor, chi: np.ndarray, l: int) -> None:
-    if p.shape != chi.shape:
-        raise ShapeError(f"probability maps {p.shape} do not match ground truth {chi.shape}")
-    if not 0 <= l < chi.shape[1]:
-        raise ConfigError(f"class index {l} out of range for {chi.shape[1]} channels")
-
-
 def segmentation_loss(p: Tensor, ground_truth, config: LossConfig, weights=None) -> Tensor:
     """The scalar objective L = -sum_l w_l * d_l over all classes.
 
     ``weights`` are the inverse ratios 1/r_l; computed from the batch
     when omitted and config.weighted is set, all ones otherwise.
-    Vectorized over channels but numerically identical to composing the
-    per-class distance functions.
+    Vectorized over channels: ``d`` holds the per-class distance d_l of
+    the module docstring for every class at once.
     """
     chi = _as_channel_stack(ground_truth)
     if p.shape != chi.shape:

@@ -22,12 +22,14 @@ Differences between the variants:
   pool has stride 1 and hands its stride 2 to the first convolution
   after it.
 
-Networks are static step programs: each step names a layer and the
-steps it reads from, so the forward pass is a topologically ordered
-walk.  The walk releases each intermediate tensor after its last reader
-has run; in training the autodiff tape still holds every intermediate
-for the backward pass, while under ``no_grad`` (inference) a skip
-feature lives only until its concatenation.
+Networks are static step programs.  Each step pairs one ``Layer`` (an
+op closed over the step's parameters, plus its op kind and the text the
+parameter ledger prints) with the steps it reads from, so the forward
+pass is a topologically ordered walk.  The walk releases each
+intermediate tensor after its last reader has run; in training the
+autodiff tape still holds every intermediate for the backward pass,
+while under ``no_grad`` (inference) a skip feature lives only until its
+concatenation.
 """
 
 from __future__ import annotations
@@ -74,38 +76,42 @@ class ArchConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        """Checks every field; one ConfigError lists each problem as ``field: reason``."""
+        problems = []
         if self.arch not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.arch!r}; expected one of {ARCHITECTURES}")
+            problems.append(f"arch: unknown architecture {self.arch!r}; expected one of {ARCHITECTURES}")
         if self.head not in HEADS:
-            raise ConfigError(f"unknown head {self.head!r}; expected one of {HEADS}")
+            problems.append(f"head: unknown head {self.head!r}; expected one of {HEADS}")
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
+            problems.append(f"activation: unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         if self.input_resolution % 16 != 0 or self.input_resolution <= 0:
-            raise ConfigError(
-                f"input_resolution must be a positive multiple of 16 (four downsampling "
+            problems.append(
+                "input_resolution: must be a positive multiple of 16 (four downsampling "
                 f"stages), got {self.input_resolution}"
             )
         if not 0.0 <= self.drop_probability < 1.0:
-            raise ConfigError(f"drop_probability must be in [0, 1), got {self.drop_probability}")
+            problems.append(f"drop_probability: must be in [0, 1), got {self.drop_probability}")
         expected = 3 if self.head == "sigmoid" else 4
         if self.num_classes is None:
             object.__setattr__(self, "num_classes", expected)
         elif self.num_classes != expected:
-            raise ConfigError(
-                f"head {self.head!r} requires num_classes={expected} "
+            problems.append(
+                f"num_classes: head {self.head!r} requires num_classes={expected} "
                 f"(3 organ classes{' + background' if self.head == 'softmax' else ''}), "
                 f"got {self.num_classes}"
             )
         if self.base_channels is None:
-            object.__setattr__(self, "base_channels", _DEFAULT_BASE_CHANNELS[self.arch])
-        if self.arch == "invertednet":
+            object.__setattr__(self, "base_channels", _DEFAULT_BASE_CHANNELS.get(self.arch))
+        elif self.arch == "invertednet":
             if self.base_channels % 16 != 0:
-                raise ConfigError(
-                    "invertednet base_channels must be divisible by 16 "
+                problems.append(
+                    "base_channels: invertednet base_channels must be divisible by 16 "
                     f"(halved at each of four levels), got {self.base_channels}"
                 )
         elif self.base_channels < 1:
-            raise ConfigError(f"base_channels must be positive, got {self.base_channels}")
+            problems.append(f"base_channels: must be positive, got {self.base_channels}")
+        if problems:
+            raise ConfigError("\n".join(problems))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -121,121 +127,31 @@ class ArchConfig:
 # -- layers --------------------------------------------------------------------
 
 
-class Conv2d:
-    kind = "conv"
+class Layer:
+    """One network step: ``fn(xs, mode, rng)`` applied to the step's inputs.
 
-    def __init__(self, weight: Tensor, bias: Tensor, stride: int = 1):
-        self.weight = weight
-        self.bias = bias
-        self.stride = stride
+    ``kind`` names the op family ("conv", "transposed_conv", "maxpool",
+    "activation", "dropout", "concat", "softmax"), ``text`` describes the
+    step in the parameter ledger, and ``params`` lists its (suffix, tensor)
+    pairs in checkpoint order.
+    """
 
-    def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
+    kind = "layer"  # class-level too, so tools that patch layer classes can find this one
 
-    def forward(self, xs, mode, rng):
-        return ops.conv2d(xs[0], self.weight, self.bias, stride=self.stride)
-
-    def describe(self) -> str:
-        f, c, kh, kw = self.weight.shape
-        return f"conv {kh}x{kw} {c}->{f} stride {self.stride}"
-
-
-class TransposedConv2d:
-    kind = "transposed_conv"
-
-    def __init__(self, weight: Tensor, bias: Tensor):
-        self.weight = weight
-        self.bias = bias
-
-    def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def forward(self, xs, mode, rng):
-        return ops.transposed_conv2d(xs[0], self.weight, self.bias)
-
-    def describe(self) -> str:
-        c, f, kh, kw = self.weight.shape
-        return f"transposed conv {kh}x{kw} {c}->{f} stride 2"
-
-
-class MaxPool2d:
-    kind = "maxpool"
-
-    def __init__(self, stride: int):
-        self.stride = stride
-
-    def param_items(self):
-        return []
-
-    def forward(self, xs, mode, rng):
-        return ops.maxpool2d(xs[0], size=2, stride=self.stride)
-
-    def describe(self) -> str:
-        return f"maxpool 2x2 stride {self.stride}"
-
-
-class Activation:
-    kind = "activation"
-
-    def __init__(self, fn: str):
+    def __init__(self, kind: str, fn, text: str, params=()):
+        self.kind = kind
         self.fn = fn
-
-    def param_items(self):
-        return []
-
-    def forward(self, xs, mode, rng):
-        return ops.activation(self.fn, xs[0])
-
-    def describe(self) -> str:
-        return self.fn
-
-
-class GaussianDropout:
-    kind = "dropout"
-
-    def __init__(self, d: float):
-        self.d = d
-
-    def param_items(self):
-        return []
+        self.text = text
+        self.params = list(params)
 
     def forward(self, xs, mode, rng):
-        return ops.gaussian_dropout(xs[0], self.d, mode, rng)
-
-    def describe(self) -> str:
-        return f"gaussian dropout d={self.d}"
-
-
-class ConcatChannels:
-    kind = "concat"
-
-    def param_items(self):
-        return []
-
-    def forward(self, xs, mode, rng):
-        return ops.concat_channels(xs[0], xs[1])
-
-    def describe(self) -> str:
-        return "concat"
-
-
-class Softmax:
-    kind = "softmax"
-
-    def param_items(self):
-        return []
-
-    def forward(self, xs, mode, rng):
-        return ops.softmax_channels(xs[0])
-
-    def describe(self) -> str:
-        return "softmax over channels"
+        return self.fn(xs, mode, rng)
 
 
 @dataclass
 class Step:
     name: str
-    layer: object
+    layer: Layer
     inputs: tuple[int, ...]  # indices of earlier steps; -1 is the network input
 
 
@@ -256,18 +172,10 @@ class Network:
             self._dead_after[idx].append(src)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for step in self.steps:
-            for suffix, tensor in step.layer.param_items():
-                out.append((f"{step.name}.{suffix}", tensor))
-        return out
+        return [(f"{step.name}.{suffix}", t) for step in self.steps for suffix, t in step.layer.params]
 
     def param_kinds(self) -> dict[str, str]:
-        kinds = {}
-        for step in self.steps:
-            for suffix, _ in step.layer.param_items():
-                kinds[f"{step.name}.{suffix}"] = step.layer.kind
-        return kinds
+        return {f"{step.name}.{suffix}": step.layer.kind for step in self.steps for suffix, _ in step.layer.params}
 
     def forward(self, x, mode: str = "infer", rng: Optional[Rng] = None, trace: Optional[list] = None) -> Tensor:
         if mode not in ("train", "infer"):
@@ -334,25 +242,45 @@ class _Builder:
         self._draw += 1
         return Tensor(data, requires_grad=True)
 
-    def add(self, name: str, layer, *inputs: int) -> int:
-        self.steps.append(Step(name, layer, tuple(inputs)))
+    def add(self, name: str, inputs, kind: str, fn, text: str, params=()) -> int:
+        self.steps.append(Step(name, Layer(kind, fn, text, params), tuple(inputs)))
         return len(self.steps) - 1
 
     def conv(self, name, src, c_in, c_out, kernel=3, stride=1) -> int:
         w = self._init_weight((c_out, c_in, kernel, kernel), c_in * kernel * kernel)
         b = Tensor(np.zeros(c_out, dtype=self.dtype), requires_grad=True)
-        return self.add(name, Conv2d(w, b, stride=stride), src)
+        return self.add(
+            name, [src], "conv", lambda xs, mode, rng: ops.conv2d(xs[0], w, b, stride=stride),
+            f"conv {kernel}x{kernel} {c_in}->{c_out} stride {stride}", [("weight", w), ("bias", b)],
+        )
 
     def tconv(self, name, src, c_in, c_out) -> int:
         w = self._init_weight((c_in, c_out, 2, 2), c_in)
         b = Tensor(np.zeros(c_out, dtype=self.dtype), requires_grad=True)
-        return self.add(name, TransposedConv2d(w, b), src)
+        return self.add(
+            name, [src], "transposed_conv", lambda xs, mode, rng: ops.transposed_conv2d(xs[0], w, b),
+            f"transposed conv 2x2 {c_in}->{c_out} stride 2", [("weight", w), ("bias", b)],
+        )
 
-    def act(self, name, src) -> int:
-        return self.add(name, Activation(self.config.activation), src)
+    def pool(self, name, src, stride) -> int:
+        return self.add(
+            name, [src], "maxpool", lambda xs, mode, rng: ops.maxpool2d(xs[0], size=2, stride=stride),
+            f"maxpool 2x2 stride {stride}",
+        )
+
+    def act(self, name, src, fn_name=None) -> int:
+        fn_name = fn_name or self.config.activation
+        return self.add(name, [src], "activation", lambda xs, mode, rng: ops.activation(fn_name, xs[0]), fn_name)
 
     def drop(self, name, src) -> int:
-        return self.add(name, GaussianDropout(self.config.drop_probability), src)
+        d = self.config.drop_probability
+        return self.add(
+            name, [src], "dropout", lambda xs, mode, rng: ops.gaussian_dropout(xs[0], d, mode, rng),
+            f"gaussian dropout d={d}",
+        )
+
+    def concat(self, name, skip, src) -> int:
+        return self.add(name, [skip, src], "concat", lambda xs, mode, rng: ops.concat_channels(*xs), "concat")
 
     def conv_act(self, name, src, c_in, c_out, stride=1, dropout=False) -> int:
         node = self.conv(name, src, c_in, c_out, stride=stride)
@@ -364,8 +292,11 @@ class _Builder:
     def head(self, src, c_in) -> int:
         node = self.conv("head", src, c_in, self.config.num_classes, kernel=1)
         if self.config.head == "softmax":
-            return self.add("head.softmax", Softmax(), node)
-        return self.add("head.sigmoid", Activation("sigmoid"), node)
+            return self.add(
+                "head.softmax", [node], "softmax", lambda xs, mode, rng: ops.softmax_channels(xs[0]),
+                "softmax over channels",
+            )
+        return self.act("head.sigmoid", node, "sigmoid")
 
     def network(self) -> Network:
         return Network(self.config, self.steps)
@@ -386,14 +317,14 @@ def _unet_family(config: ArchConfig, dtype, dropout: bool, conv_pool: bool) -> N
             if conv_pool:
                 node = b.conv_act(f"enc{lvl}.poolconv", node, c, c, stride=2, dropout=dropout)
             else:
-                node = b.add(f"enc{lvl}.pool", MaxPool2d(stride=2), node)
+                node = b.pool(f"enc{lvl}.pool", node, stride=2)
     for lvl in range(3, -1, -1):
         c = enc_channels[lvl]
         node = b.tconv(f"dec{lvl}.up", node, ch, c)
         node = b.act(f"dec{lvl}.up.act", node)
         if dropout:
             node = b.drop(f"dec{lvl}.up.drop", node)
-        node = b.add(f"dec{lvl}.concat", ConcatChannels(), skips[lvl], node)
+        node = b.concat(f"dec{lvl}.concat", skips[lvl], node)
         node = b.conv_act(f"dec{lvl}.conv0", node, 2 * c, c, dropout=dropout)
         node = b.conv_act(f"dec{lvl}.conv1", node, c, c, dropout=dropout)
         ch = c
@@ -434,7 +365,7 @@ def build_invertednet(config: ArchConfig, dtype=np.float32) -> Network:
     for lvl, c in enumerate(enc_channels[1:], start=1):
         pool_stride = 2 if lvl == 1 else 1
         conv_stride = 1 if lvl == 1 else 2
-        node = b.add(f"enc{lvl}.pool", MaxPool2d(stride=pool_stride), node)
+        node = b.pool(f"enc{lvl}.pool", node, stride=pool_stride)
         node = b.conv_act(f"enc{lvl}.conv0", node, ch, c, stride=conv_stride, dropout=True)
         node = b.conv_act(f"enc{lvl}.conv1", node, c, c, dropout=True)
         ch = c
@@ -445,7 +376,7 @@ def build_invertednet(config: ArchConfig, dtype=np.float32) -> Network:
         node = b.tconv(f"dec{lvl}.up", node, ch, c)
         node = b.act(f"dec{lvl}.up.act", node)
         node = b.drop(f"dec{lvl}.up.drop", node)
-        node = b.add(f"dec{lvl}.concat", ConcatChannels(), skips[lvl], node)
+        node = b.concat(f"dec{lvl}.concat", skips[lvl], node)
         node = b.conv_act(f"dec{lvl}.conv0", node, 2 * c, c, dropout=True)
         node = b.conv_act(f"dec{lvl}.conv1", node, c, c, dropout=True)
         ch = c
@@ -476,12 +407,12 @@ def parameter_table(net: Network) -> list[tuple[str, str, str, int]]:
     """Per-layer ledger: (step name, description, weight shapes, element count)."""
     rows = []
     for step in net.steps:
-        items = step.layer.param_items()
+        items = step.layer.params
         if not items:
             continue
         shapes = " + ".join("x".join(map(str, t.shape)) for _, t in items)
         count = sum(t.size for _, t in items)
-        rows.append((step.name, step.layer.describe(), shapes, count))
+        rows.append((step.name, step.layer.text, shapes, count))
     return rows
 
 

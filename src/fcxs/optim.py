@@ -33,10 +33,6 @@ class Adam:
         self.m = [np.zeros_like(p.data) for _, p in self.params]
         self.v = [np.zeros_like(p.data) for _, p in self.params]
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
-
     def step(self) -> None:
         grads = []
         for name, p in self.params:

@@ -7,7 +7,7 @@ via child(epoch), dropout noise via child(epoch, batch)), so one
 weights.
 
 Stopping: a run ends at the epoch budget, when the monitored mean
-Jaccard has not improved by more than ``min_improvement`` for
+Jaccard has not improved by more than ``MIN_IMPROVEMENT`` for
 ``patience`` consecutive epochs, or when an optional ``target_j`` is
 reached.  The weights returned are those of the best monitored epoch.
 Monitoring uses the validation split; if it is empty, the training
@@ -26,10 +26,12 @@ import numpy as np
 from .data import DatasetSplit, GroundTruth, Sample, build_groundtruth
 from .errors import ConfigError, NumericError
 from .losses import LossConfig, class_weights, segmentation_loss
-from .metrics import certain_pixels, dice, jaccard_from_dice
-from .models import Network, organ_probabilities, save_checkpoint
+from .metrics import dice, jaccard_from_dice
+from .models import Network, ensemble_predict, save_checkpoint
 from .optim import Adam
 from .rng import Rng
+
+MIN_IMPROVEMENT = 1e-4
 
 
 @dataclass
@@ -83,10 +85,10 @@ def validation_jaccard(
     """Mean thresholded Jaccard per organ class over a sample set."""
     scores = np.zeros((len(samples), 3))
     for i, (sample, gt) in enumerate(zip(samples, gts)):
-        probs = organ_probabilities(net, sample.image)
+        masks = ensemble_predict([net], sample.image, epsilon)
         targets = organ_masks(gt)
         for c in range(3):
-            scores[i, c] = jaccard_from_dice(dice(certain_pixels(probs[c], epsilon), targets[c]))
+            scores[i, c] = jaccard_from_dice(dice(masks[c], targets[c]))
     return scores.mean(axis=0)
 
 
@@ -100,11 +102,9 @@ def train(
     lr: float = 1e-5,
     seed: int = 0,
     patience: int = 50,
-    min_improvement: float = 1e-4,
     epsilon: float = 0.25,
     target_j: Optional[float] = None,
     checkpoint_dir=None,
-    checkpoint_every: Optional[int] = None,
 ) -> tuple[Network, TrainHistory]:
     """Optimize ``net`` on the (already normalized) train split.
 
@@ -169,7 +169,7 @@ def train(
         history.records.append(record)
 
         mean_j = float(val_j.mean())
-        if mean_j > history.best_mean_jaccard + min_improvement:
+        if mean_j > history.best_mean_jaccard + MIN_IMPROVEMENT:
             history.best_mean_jaccard = mean_j
             history.best_epoch = epoch
             best_state = [(name, p.data.copy()) for name, p in net.parameters()]
@@ -179,8 +179,6 @@ def train(
         else:
             stale += 1
 
-        if checkpoint_dir is not None and checkpoint_every and epoch % checkpoint_every == 0:
-            save_checkpoint(net, checkpoint_dir / "last.fcxs")
         if history.diverged:
             break
         if target_j is not None and mean_j >= target_j:

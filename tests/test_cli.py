@@ -36,7 +36,7 @@ class TestConfigParsing:
         path = run_config(tmp_path)
         cfg = load_run_config(path)
         assert cfg.train.patience == 50
-        assert cfg.resolved_encoding() == "dice"
+        assert cfg.loss_config().encoding == "dice"
 
     def test_unknown_keys_rejected_all_at_once(self):
         with pytest.raises(ConfigError) as exc:
@@ -54,13 +54,33 @@ class TestConfigParsing:
         assert "resolution" in message
 
     def test_pairing_enforced(self):
-        with pytest.raises(ConfigError, match="entropy"):
+        # the loss alone sets the encoding; the old data.encoding key is gone
+        with pytest.raises(ConfigError, match="data.encoding: unknown key"):
             parse_run_config(
                 {
                     "data": {"synthetic": {"n": 2}, "resolution": 32, "encoding": "dice"},
                     "loss": {"distance": "cross_entropy"},
                 }
             )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("arch", "drop_probability", "x"),
+            ("data", "resolution", "64"),
+            ("train", "epochs", "3"),
+            ("eval", "epsilon", None),
+            ("data", "synthetic", {"n": "2"}),
+        ],
+        ids=["drop_probability_string", "resolution_string", "epochs_string", "epsilon_null", "synthetic_n_string"],
+    )
+    def test_wrong_type_exit_code_2(self, tmp_path, capsys, section, key, value):
+        cfg = run_config(tmp_path, **{section: {key: value}})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        name = f"{section}.{key}" if key != "synthetic" else "data.synthetic.n"
+        assert f"{name}: expected" in err
+        assert not (tmp_path / "out" / "history.csv").exists()
 
     def test_root_and_synthetic_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -122,10 +142,10 @@ class TestTrainCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_bad_pairing_exit_code_2(self, tmp_path, capsys):
-        # cross-entropy loss with the overlapping 'dice' encoding is inconsistent
+        # the loss alone sets the encoding; a data.encoding key is rejected
         cfg = run_config(tmp_path, loss={"distance": "cross_entropy"}, data={"encoding": "dice"})
         assert main(["train", "--config", str(cfg)]) == 2
-        assert "entropy" in capsys.readouterr().err
+        assert "data.encoding: unknown key" in capsys.readouterr().err
 
     def test_missing_config_exit_code_2(self, capsys):
         assert main(["train", "--config", "/nonexistent.json"]) == 2
@@ -185,6 +205,28 @@ class TestEvalCommand:
     def test_missing_checkpoint_exit_code_3(self, trained, capsys):
         tmp_path, cfg = trained
         assert main(["eval", "--config", str(cfg), "--checkpoint", "/nope.fcxs"]) == 3
+
+    def test_mixed_heads_exit_code_2(self, tmp_path, capsys):
+        from fcxs.models import ArchConfig, build_network, save_checkpoint
+
+        cfg = run_config(tmp_path)
+        args = ["eval", "--config", str(cfg)]
+        for head in ("sigmoid", "softmax"):
+            path = tmp_path / f"{head}.fcxs"
+            config = ArchConfig(arch="invertednet", input_resolution=32, head=head, base_channels=16)
+            save_checkpoint(build_network(config), path)
+            args += ["--checkpoint", str(path)]
+        assert main(args) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_resolution_mismatch_exit_code_2(self, tmp_path, capsys):
+        from fcxs.models import ArchConfig, build_network, save_checkpoint
+
+        cfg = run_config(tmp_path)  # data.resolution 32
+        path = tmp_path / "net16.fcxs"
+        save_checkpoint(build_network(ArchConfig(arch="invertednet", input_resolution=16, base_channels=16)), path)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(path)]) == 2
+        assert "data.resolution" in capsys.readouterr().err
 
     def test_three_checkpoint_vote_matches_oracle(self, trained):
         from fcxs.config import load_run_config

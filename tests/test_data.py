@@ -14,7 +14,6 @@ from fcxs.data import (
     load_dataset,
     load_split,
     normalize_samples,
-    project_class,
     save_dataset,
     save_split,
     split_dataset,
@@ -47,7 +46,6 @@ class TestGroundTruth:
         np.testing.assert_array_equal(gt.channels[0], lungs)
         np.testing.assert_array_equal(gt.channels[1], clav)
         np.testing.assert_array_equal(gt.channels[2], heart)
-        assert gt.label_matrix is None
 
     def test_entropy_removes_clavicles_from_lungs(self):
         lungs, clav, heart = nested_masks()
@@ -73,13 +71,6 @@ class TestGroundTruth:
         zero = np.zeros((8, 8), dtype=np.uint8)
         gt = build_groundtruth(make_sample(zero, zero, zero), "entropy")
         np.testing.assert_array_equal(gt.channels[0], 1)
-        np.testing.assert_array_equal(gt.label_matrix, 0)
-
-    def test_label_matrix_is_weighted_sum(self):
-        lungs, clav, heart = nested_masks()
-        gt = build_groundtruth(make_sample(lungs, clav, heart), "entropy")
-        expected = sum(idx * gt.channels[idx].astype(np.int16) for idx in range(1, 4))
-        np.testing.assert_array_equal(gt.label_matrix, expected)
 
     def test_unknown_encoding_rejected(self):
         lungs, clav, heart = nested_masks()
@@ -99,24 +90,18 @@ class TestProjection:
         masks = [(labels == idx).astype(np.uint8) for idx in range(1, 4)]
         gt = build_groundtruth(make_sample(*masks), "entropy")
         for idx in range(1, 4):
-            np.testing.assert_array_equal(project_class(gt, idx), masks[idx - 1])
+            np.testing.assert_array_equal(gt.channels[idx], masks[idx - 1])
 
     def test_background_projection_is_complement(self):
         lungs, clav, heart = nested_masks()
         gt = build_groundtruth(make_sample(lungs, clav, heart), "entropy")
         organs = gt.channels[1:].sum(axis=0)
-        np.testing.assert_array_equal(project_class(gt, 0), 1 - organs)
+        np.testing.assert_array_equal(gt.channels[0], 1 - organs)
 
     def test_dice_projection_returns_channel(self):
         lungs, clav, heart = nested_masks()
         gt = build_groundtruth(make_sample(lungs, clav, heart), "dice")
-        np.testing.assert_array_equal(project_class(gt, 0), lungs)
-
-    def test_out_of_range_class_rejected(self):
-        lungs, clav, heart = nested_masks()
-        gt = build_groundtruth(make_sample(lungs, clav, heart), "dice")
-        with pytest.raises(ConfigError):
-            project_class(gt, 3)
+        np.testing.assert_array_equal(gt.channels[0], lungs)
 
 
 class TestNormalization:
@@ -279,15 +264,34 @@ class TestImageIO:
         np.testing.assert_array_equal(arr, [[0, 1, 2], [3, 4, 5]])
 
     @pytest.mark.parametrize(
-        "blob",
-        [b"P5\n2 2\n0\n\x00\x00\x00\x00", b"P2\n2 2\n65536\n0 1\n2 3\n"],
-        ids=["p5_maxval_0", "p2_maxval_65536"],
+        "blob, reason",
+        [
+            (b"P5\n2 2\n0\n\x00\x00\x00\x00", "maxval"),
+            (b"P2\n2 2\n65536\n0 1\n2 3\n", "maxval"),
+            (b"P5\nab 2\n255\n\x00\x00", "non-numeric"),
+            (b"P5\n#no newline", "comment"),
+            (b"P2\n2 1\n255\n0 x\n", "samples"),
+            (b"P2\n2 1\n255\n0 -3\n", "samples"),
+            (b"P2\n2 1\n255\n0 256\n", "samples"),
+            (b"P5\n0 0\n255\n", "size"),
+        ],
+        ids=[
+            "p5_maxval_0",
+            "p2_maxval_65536",
+            "non_numeric_header_token",
+            "unterminated_comment",
+            "p2_sample_not_integer",
+            "p2_sample_negative",
+            "p2_sample_above_maxval",
+            "zero_size",
+        ],
     )
-    def test_pgm_maxval_out_of_range_rejected(self, tmp_path, blob):
+    def test_pgm_maxval_out_of_range_rejected(self, tmp_path, blob, reason):
         path = tmp_path / "bad_maxval.pgm"
         path.write_bytes(blob)
-        with pytest.raises(DataError, match="maxval"):
+        with pytest.raises(DataError, match=reason) as exc:
             read_pgm(path)
+        assert str(path) in str(exc.value)
 
     def test_png_roundtrip_gray8(self, tmp_path):
         arr = np.arange(64, dtype=np.uint8).reshape(8, 8) * 3

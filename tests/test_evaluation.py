@@ -9,13 +9,12 @@ from fcxs.evaluation import (
     EvalRecord,
     evaluate,
     export_masks,
-    predict_masks,
     records_from_csv,
     records_to_csv,
     summarize,
 )
 from fcxs.imageio import read_pgm, read_png
-from fcxs.models import ArchConfig
+from fcxs.models import ArchConfig, ensemble_predict
 from fcxs.tensor import Tensor
 from fcxs.training import organ_masks
 
@@ -144,7 +143,7 @@ class TestExports:
         samples = synth_generate(1, 32, seed=47)
         sample = samples[0]
         net = oracle_net(samples)
-        masks = predict_masks(net, sample)
+        masks = ensemble_predict([net], sample.image)
         export_masks(tmp_path, sample, masks, overlays=True)
         for cls in CLASS_NAMES:
             pgm, maxval = read_pgm(tmp_path / f"{sample.id}_{cls}.pgm")
@@ -160,7 +159,7 @@ class TestExports:
     def test_mask_pixels_match_prediction(self, tmp_path):
         samples = synth_generate(1, 32, seed=48)
         sample = samples[0]
-        masks = predict_masks(oracle_net(samples), sample)
+        masks = ensemble_predict([oracle_net(samples)], sample.image)
         export_masks(tmp_path, sample, masks, overlays=False)
         back, _ = read_pgm(tmp_path / f"{sample.id}_lungs.pgm")
         np.testing.assert_array_equal((back > 127).astype(np.uint8), masks[0])

@@ -4,17 +4,48 @@ import numpy as np
 import pytest
 
 from fcxs import ops
+from fcxs import tensor as T
 from fcxs.errors import ConfigError, ShapeError
-from fcxs.losses import (
-    LossConfig,
-    class_weights,
-    distance_cross_entropy,
-    distance_dice,
-    segmentation_loss,
-)
+from fcxs.losses import PROB_CLAMP, LossConfig, class_weights, segmentation_loss
 from fcxs.models import ArchConfig
 from fcxs.rng import Rng
 from fcxs.tensor import Tensor
+
+
+# -- per-class distance oracles: the vectorized segmentation_loss must equal
+# -- the negated weighted sum of these
+
+
+def _check_match(p: Tensor, chi: np.ndarray, l: int) -> None:
+    if p.shape != chi.shape:
+        raise ShapeError(f"probability maps {p.shape} do not match ground truth {chi.shape}")
+    if not 0 <= l < chi.shape[1]:
+        raise ConfigError(f"class index {l} out of range for {chi.shape[1]} channels")
+
+
+def distance_cross_entropy(p: Tensor, chi: np.ndarray, l: int) -> Tensor:
+    """Masked mean log-probability for class l (a non-positive scalar)."""
+    _check_match(p, chi, l)
+    selector = np.zeros(p.shape, dtype=p.data.dtype)
+    selector[:, l] = chi[:, l]
+    c_total = float(chi.shape[0] * chi.shape[2] * chi.shape[3])
+    clamped = T.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return T.mul(T.tsum(T.mul(T.log(clamped), Tensor(selector))), 1.0 / c_total)
+
+
+def distance_dice(p: Tensor, chi: np.ndarray, l: int) -> Tensor:
+    """Soft Dice overlap for class l, in [0, 1]; empty-vs-empty counts as 1."""
+    _check_match(p, chi, l)
+    selector = np.zeros(p.shape, dtype=p.data.dtype)
+    selector[:, l] = chi[:, l]
+    only_l = np.zeros(p.shape, dtype=p.data.dtype)
+    only_l[:, l] = 1.0
+    chi_sum = float(selector.sum())
+    p_sum = float((p.data * only_l).sum())
+    smooth = 1.0 if (chi_sum == 0.0 and p_sum == 0.0) else 0.0
+    numer = T.add(T.mul(T.tsum(T.mul(p, Tensor(selector))), 2.0), smooth)
+    denom = T.add(T.tsum(T.mul(p, Tensor(only_l))), chi_sum + smooth)
+    return T.div(numer, denom)
 
 
 def chi_with_fractions(fractions, total=10_000):

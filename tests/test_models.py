@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -9,6 +10,8 @@ import pytest
 
 from fcxs.errors import ConfigError, DataError, ShapeError
 from fcxs.models import (
+    ARCHITECTURES,
+    HEADS,
     ArchConfig,
     build_all_convolutional,
     build_all_dropout,
@@ -29,6 +32,21 @@ from fcxs.tensor import Tensor
 REFERENCE_ALL_DROPOUT_PARAMS = 31_377_988
 REFERENCE_INVERTEDNET_PARAMS = 3_140_771
 POOL_REPLACEMENT_DELTA = 3_134_400
+
+
+# sha256 of the save_checkpoint bytes and of the format_parameter_table text
+# of each arch x head at 16^2 (base_channels 2; 16 for invertednet), so a
+# refactor of the layer code cannot silently change a checkpoint or ledger
+GOLDEN_DIGESTS = {
+    ("unet_original", "sigmoid"): ("e52a936e16b5d8350e441f919ebbced02b1daf9dc06e404d5935b25573012e9f", "7d1c316d1eec8426f113b91b41fff12af861bad9cd364cb69daa17d3a13396e1"),
+    ("unet_original", "softmax"): ("676548987c673819dd28e3a5909960d2b7d3c22504ab5ae3159a19afbad08230", "e17e8f511f632b62bc8039df1c3509828aa21be5be0b1ad7b4a646cf8177e0f2"),
+    ("all_dropout", "sigmoid"): ("6a6b87911691292e4567aaa2f5e62e689c6b5b8b77b757aafbcc8109f86f7dbd", "7d1c316d1eec8426f113b91b41fff12af861bad9cd364cb69daa17d3a13396e1"),
+    ("all_dropout", "softmax"): ("6d0f3a62b4271bf3b10e71de367c0d10757899a5448d0d3c1a10130efe199b9a", "e17e8f511f632b62bc8039df1c3509828aa21be5be0b1ad7b4a646cf8177e0f2"),
+    ("all_convolutional", "sigmoid"): ("9de43a333fb41b5b2ffd7bff86a06d3fa6d5585235993d07f3a96b7b70ad1e2b", "8ac3f364d2f1359785491b88e28c33af2afe220c74cb6155db75735be7373f9f"),
+    ("all_convolutional", "softmax"): ("94626b77dfb954cc5a59da650420a9d2fa74d5734e91941c7d84f06e8ebbac79", "15575dfc9d56293d564f1bf839800ae147e371eeed4f6000f7abfec783030b02"),
+    ("invertednet", "sigmoid"): ("74b69f8d324bb7edb678e504230a0a1abb4de26f5a5e0b9cb9ce43509dbb4561", "50b9db7d5db6af2d162b24d30db344950749b487ef2c392d5bb971ae64933bb9"),
+    ("invertednet", "softmax"): ("cfe12c1bdfc2236ee9494d06da2139f6f71c7966af47a28919b4e6bec0c4e632", "5719b341cb761174842f686761451db98dfe067216d7b7f3d98f8f18e83ed4b9"),
+}
 
 
 # -- closed-form counting oracle: sum over (kernel, c_in, c_out) layer specs ------
@@ -381,6 +399,24 @@ class TestCheckpoints:
         size = path.stat().st_size
         payload = 4 * count_parameters(net)
         assert payload < size < payload + 65536
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("head", HEADS)
+    def test_golden_checkpoint_and_ledger(self, tmp_path, arch, head):
+        config = ArchConfig(
+            arch=arch, input_resolution=16, head=head, base_channels=16 if arch == "invertednet" else 2
+        )
+        net = build_network(config)
+        path = tmp_path / "net.fcxs"
+        save_checkpoint(net, path)
+        digests = (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(format_parameter_table(net).encode("utf-8")).hexdigest(),
+        )
+        assert digests == GOLDEN_DIGESTS[(arch, head)]
+        loaded = load_checkpoint(path)
+        assert loaded.config == config
+        assert format_parameter_table(loaded) == format_parameter_table(net)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.fcxs"

@@ -54,9 +54,3 @@ class TestAdam:
         p = make_param(np.zeros((3, 4)))
         opt = Adam([("p", p)])
         assert opt.m[0].shape == (3, 4) and opt.v[0].shape == (3, 4)
-
-    def test_zero_grad_clears(self):
-        p = make_param([1.0])
-        p.grad = np.array([5.0])
-        Adam([("p", p)]).zero_grad()
-        assert p.grad is None

@@ -162,7 +162,6 @@ class TestTrainLoop:
         net, hist = train(
             net, tiny_dataset, overfit_split(tiny_dataset), LossConfig("dice"),
             epochs=3, batch_size=2, lr=1e-4, seed=0, checkpoint_dir=tmp_path,
-            checkpoint_every=2,
         )
         assert (tmp_path / "best.fcxs").exists()
         assert (tmp_path / "last.fcxs").exists()
