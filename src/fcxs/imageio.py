@@ -185,10 +185,16 @@ def read_png(path) -> tuple[np.ndarray, int]:
     idat = bytearray()
     header = None
     while pos < len(blob):
+        if pos + 8 > len(blob):
+            raise DataError(f"{path}: truncated PNG chunk header")
         length, tag = struct.unpack(">I4s", blob[pos : pos + 8])
         payload = blob[pos + 8 : pos + 8 + length]
+        if len(payload) != length:
+            raise DataError(f"{path}: truncated PNG {tag!r} chunk")
         pos += 12 + length
         if tag == b"IHDR":
+            if length != 13:
+                raise DataError(f"{path}: PNG IHDR chunk has {length} bytes, expected 13")
             header = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat += payload
@@ -206,7 +212,13 @@ def read_png(path) -> tuple[np.ndarray, int]:
         )
     channels = 3 if color_type == 2 else 1
     bpp = channels * (depth // 8)
-    rows = _unfilter(zlib.decompress(bytes(idat)), height, width, bpp)
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise DataError(f"{path}: corrupt PNG image data ({exc})")
+    if len(raw) != height * (1 + width * bpp):
+        raise DataError(f"{path}: PNG image data has {len(raw)} bytes, expected {height * (1 + width * bpp)}")
+    rows = _unfilter(raw, height, width, bpp)
     if depth == 16:
         arr = rows.reshape(height, width, 2)
         arr = (arr[:, :, 0].astype(np.uint16) << 8) | arr[:, :, 1]

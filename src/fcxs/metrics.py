@@ -41,10 +41,6 @@ def jaccard_from_dice(d: float) -> float:
     return d / (2.0 - d)
 
 
-def dice_from_jaccard(j: float) -> float:
-    return 2.0 * j / (1.0 + j)
-
-
 def jaccard(pred: np.ndarray, gt: np.ndarray) -> float:
     return jaccard_from_dice(dice(pred, gt))
 

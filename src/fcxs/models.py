@@ -102,14 +102,13 @@ class ArchConfig:
             )
         if self.base_channels is None:
             object.__setattr__(self, "base_channels", _DEFAULT_BASE_CHANNELS.get(self.arch))
-        elif self.arch == "invertednet":
-            if self.base_channels % 16 != 0:
-                problems.append(
-                    "base_channels: invertednet base_channels must be divisible by 16 "
-                    f"(halved at each of four levels), got {self.base_channels}"
-                )
         elif self.base_channels < 1:
             problems.append(f"base_channels: must be positive, got {self.base_channels}")
+        elif self.arch == "invertednet" and self.base_channels % 16 != 0:
+            problems.append(
+                "base_channels: invertednet base_channels must be divisible by 16 "
+                f"(halved at each of four levels), got {self.base_channels}"
+            )
         if problems:
             raise ConfigError("\n".join(problems))
 

@@ -5,13 +5,19 @@ convolution maps an (H, W) input to (ceil(H/s), ceil(W/s)).  Padding is
 split with the extra row/column at the bottom/right.  Max pooling pads
 with -inf instead, so out-of-bounds positions never win a window.
 
-Convolution is evaluated by im2col expansion followed by a batched
-matmul; the column buffer is kept alive for the backward pass.  The
-backward pass forms the weight gradient one sample at a time,
-dW = sum_k g[k] @ cols[k].T: each term is a single GEMM that reads the
-column buffer in place through a transposed view, whereas contracting
-the batch and spatial axes together (``np.tensordot``) first copies the
-whole column buffer into a transposed layout.
+Convolution is evaluated by im2col expansion followed by a matrix
+product, one sample at a time, and no column buffer outlives the GEMM
+that reads it.  The forward pass builds the columns for a block of whole
+output rows covering at least ``_BLOCK_PIXELS`` output pixels, in one
+workspace (and one zero-bordered band of padded input rows) reused across
+blocks and samples; a 1x1 stride-1 convolution multiplies the input
+directly.  The backward closure keeps only the input, weight and bias,
+which the tape holds anyway, and rebuilds each sample's full columns:
+dW = sum_k g[k] @ cols(k).T, one GEMM per sample that reads the columns
+in place through a transposed view, while the same buffer then takes the
+sample's dcols = W.T @ g[k] for the dX scatter.  Every output element is
+the same dot product, summed in the same order, as a whole-batch im2col
+computes, so on one BLAS build the results match it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ from .rng import Rng
 from .tensor import Tensor, make_op
 
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
+# conv2d forward builds its columns for blocks of whole output rows that
+# cover at least this many output pixels, so each GEMM stays wide enough
+# for BLAS while the column workspace stays small
+_BLOCK_PIXELS = 512
 
 
 def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -44,6 +54,29 @@ def _pad_spatial(data: np.ndarray, top: int, bottom: int, left: int, right: int,
     return out
 
 
+def _im2col(
+    cols: np.ndarray, band: np.ndarray, sample: np.ndarray, row0: int, stride: int, top: int, left: int
+) -> np.ndarray:
+    """Columns of one (C,H,W) sample for output rows row0 .. row0+R-1.
+
+    ``cols`` is the (C,kh,kw,R,Wo) workspace.  ``band`` holds the padded
+    input rows those outputs read, at least stride*(R-1)+kh of them; its
+    side columns are zero on entry and stay so.  ``top``/``left`` are the
+    leading pads.  Returns ``cols`` as a (C*kh*kw, R*Wo) matrix.
+    """
+    c, kh, kw, rows, wo = cols.shape
+    h, w = sample.shape[1:]
+    first = stride * row0 - top  # the input row held by band row 0
+    lo, hi = max(first, 0), min(first + stride * (rows - 1) + kh, h)
+    band[:, : lo - first] = 0
+    band[:, lo - first : hi - first, left : left + w] = sample[:, lo:hi]
+    band[:, hi - first :] = 0
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = band[:, i : i + stride * rows : stride, j : j + stride * wo : stride]
+    return cols.reshape(c * kh * kw, rows * wo)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Same-padded 2-D convolution of (N,C,H,W) with (F,C,kh,kw) weights."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -61,34 +94,62 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     ho, pt, pb = _same_padding(h, kh, stride)
     wo, pl, pr = _same_padding(w, kw, stride)
-    xp = _pad_spatial(x.data, pt, pb, pl, pr)
-
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    cols_mat = cols.reshape(n, c * kh * kw, ho * wo)
-    w_mat = weight.data.reshape(f, c * kh * kw)
-    out = (w_mat @ cols_mat).reshape(n, f, ho, wo) + bias.data.reshape(1, f, 1, 1)
+    k_dim = c * kh * kw
+    w_mat = weight.data.reshape(f, k_dim)
+    out = np.empty((n, f, ho, wo), dtype=x.dtype)
+    out_mat = out.reshape(n, f, ho * wo)
+    direct = kh == 1 and stride == 1  # the input is its own column matrix
+    if direct:
+        for k in range(n):
+            np.matmul(w_mat, x.data[k].reshape(c, h * w), out=out_mat[k])
+    else:
+        rows = min(ho, -(-_BLOCK_PIXELS // wo))
+        band = np.zeros((c, stride * (rows - 1) + kh, w + pl + pr), dtype=x.dtype)
+        workspace = np.empty(k_dim * rows * wo, dtype=x.dtype)
+        for k in range(n):
+            for r0 in range(0, ho, rows):
+                r1 = min(r0 + rows, ho)
+                cols = workspace[: k_dim * (r1 - r0) * wo].reshape(c, kh, kw, r1 - r0, wo)
+                cols = _im2col(cols, band, x.data[k], r0, stride, pt, pl)
+                np.matmul(w_mat, cols, out=out_mat[k, :, r0 * wo : r1 * wo])
+    out += bias.data.reshape(1, f, 1, 1)
 
     def backward(grad: np.ndarray) -> None:
         g_mat = grad.reshape(n, f, ho * wo)
         if bias.requires_grad:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            dw = g_mat[0] @ cols_mat[0].T
-            for k in range(1, n):
-                dw += g_mat[k] @ cols_mat[k].T
+        if not (weight.requires_grad or x.requires_grad):
+            return
+        # one sample's columns for dW, then the same buffer holds its dcols
+        cols = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
+        padded = (c, h + pt + pb, w + pl + pr)
+        xp = None if direct else np.zeros(padded, dtype=x.dtype)
+        dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
+        dxp = np.empty(padded, dtype=x.dtype) if x.requires_grad else None
+        dw = None
+        for k in range(n):
+            if weight.requires_grad:
+                if direct:
+                    cols_k = x.data[k].reshape(c, h * w)
+                else:
+                    cols_k = _im2col(cols, xp, x.data[k], 0, stride, pt, pl)
+                term = g_mat[k] @ cols_k.T
+                if dw is None:
+                    dw = term
+                else:
+                    dw += term
+            if dx is not None:
+                dcols = np.matmul(w_mat.T, g_mat[k], out=cols.reshape(k_dim, ho * wo))
+                dcols = dcols.reshape(c, kh, kw, ho, wo)
+                dxp.fill(0)
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
+                dx[k] = dxp[:, pt : pt + h, pl : pl + w]
+        if dw is not None:
             weight.accumulate_grad(dw.reshape(weight.shape))
-        if x.requires_grad:
-            dcols = (w_mat.T @ g_mat).reshape(n, c, kh, kw, ho, wo)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
-                        :, :, i, j
-                    ]
-            x.accumulate_grad(dxp[:, :, pt : pt + h, pl : pl + w])
+        if dx is not None:
+            x.accumulate_grad(dx)
 
     return make_op(out, (x, weight, bias), backward, "conv2d")
 
@@ -151,7 +212,7 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     windows = np.stack(
         [xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] for i, j in _POOL_OFFSETS]
     )
-    winner = windows.argmax(axis=0)  # first max in window order
+    winner = windows.argmax(axis=0).astype(np.uint8)  # first max in window order
     out = np.take_along_axis(windows, winner[None], axis=0)[0]
 
     def backward(grad: np.ndarray) -> None:
@@ -179,12 +240,17 @@ def relu(x: Tensor) -> Tensor:
 
 def elu(x: Tensor) -> Tensor:
     """Exponential linear unit with alpha = 1: x for x > 0, exp(x) - 1 below."""
-    positive = x.data > 0
-    out = np.where(positive, x.data, np.expm1(np.minimum(x.data, 0)))
+    out = np.minimum(x.data, 0)
+    np.expm1(out, out=out)
+    np.copyto(out, x.data, where=x.data > 0)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(np.where(positive, grad, grad * (out + 1)))
+            # the derivative is exp(x) = out + 1 below zero and 1 above
+            scale = out + 1
+            np.minimum(scale, 1, out=scale)
+            scale *= grad
+            x.accumulate_grad(scale)
 
     return make_op(out, (x,), backward, "elu")
 
@@ -245,7 +311,9 @@ def gaussian_dropout(x: Tensor, d: float, mode: str, rng: Optional[Rng] = None) 
     if rng is None:
         raise ConfigError("train-mode gaussian_dropout requires an Rng")
     sigma = float(np.sqrt(d / (1.0 - d)))
-    factor = 1.0 + sigma * rng.normal(x.shape, dtype=x.dtype)
+    factor = rng.normal(x.shape, dtype=x.dtype)
+    factor *= sigma
+    factor += 1.0
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:

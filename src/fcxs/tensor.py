@@ -13,13 +13,12 @@ bit-identical.  Tensors produced by an operation are never mutated;
 only parameter data is updated in place by the optimizer between steps.
 
 Every operation checks its result for NaN/Inf (a hard error per the
-numeric contract); disable via ``set_finite_checks(False)`` in hot loops
-that are already covered upstream.
+numeric contract).
 
 Inside a ``no_grad()`` block operations record nothing: results have
 ``requires_grad=False``, no parents and no backward closure, so the
-buffers a closure would keep for the backward pass (im2col columns,
-padded inputs, activation masks) are freed as soon as the operation
+buffers a closure would keep for the backward pass (an ELU output, a
+dropout factor, max-pool winners) are freed as soon as the operation
 returns.  Inference runs this way; ``backward`` on such a result raises
 ``GraphStateError``.  Recording resumes when the block exits, also on
 an exception.
@@ -36,27 +35,7 @@ from .errors import GraphStateError, NumericError, ShapeError
 
 Scalar = Union[int, float]
 
-_FINITE_CHECKS = True
 _RECORDING = True
-
-
-def finite_checks_enabled() -> bool:
-    return _FINITE_CHECKS
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
-@contextmanager
-def finite_checks(enabled: bool):
-    previous = _FINITE_CHECKS
-    set_finite_checks(enabled)
-    try:
-        yield
-    finally:
-        set_finite_checks(previous)
 
 
 @contextmanager
@@ -72,7 +51,7 @@ def no_grad():
 
 
 def _require_finite(data: np.ndarray, where: str) -> None:
-    if _FINITE_CHECKS and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by {where}")
 
 
@@ -201,8 +180,6 @@ def _not_scalar(t: Tensor) -> float:
 
 
 def _require_finite_grads(order: Iterable[Tensor]) -> None:
-    if not _FINITE_CHECKS:
-        return
     for node in order:
         if node.requires_grad and node.grad is not None and not np.isfinite(node.grad).all():
             raise NumericError("non-finite gradient produced during backward")

@@ -150,6 +150,12 @@ class TestTrainCommand:
     def test_missing_config_exit_code_2(self, capsys):
         assert main(["train", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("width", [0, -16])
+    def test_non_positive_width_exit_code_2(self, tmp_path, capsys, width):
+        cfg = run_config(tmp_path, arch={"base_channels": width})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"arch.base_channels: must be positive, got {width}" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

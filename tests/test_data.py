@@ -323,6 +323,20 @@ class TestImageIO:
         write_png(tmp_path / "y.png", arr)
         assert (tmp_path / "x.png").read_bytes() == (tmp_path / "y.png").read_bytes()
 
+    @pytest.mark.parametrize("damage", ["cut_20", "cut_40", "idat_byte_flipped"])
+    def test_malformed_png_rejected(self, tmp_path, damage):
+        path = tmp_path / "a.png"
+        write_png(path, np.arange(64, dtype=np.uint8).reshape(8, 8) * 3)
+        blob = bytearray(path.read_bytes())
+        if damage == "idat_byte_flipped":
+            blob[blob.index(b"IDAT") + 10] ^= 0xFF
+        else:
+            del blob[int(damage[4:]) :]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as exc:
+            read_png(path)
+        assert str(path) in str(exc.value)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"JUNKJUNK")
@@ -354,6 +368,16 @@ class TestLoadDataset:
         assert len(loaded) == 3
         with pytest.raises(DataError, match=samples[1].id):
             load_dataset(tmp_path, 32, on_error="raise")
+
+    def test_malformed_png_reported_and_skipped(self, tmp_path):
+        samples = synth_generate(2, 32, seed=16)
+        save_dataset(samples, tmp_path)
+        bad = tmp_path / "images" / "broken.png"
+        write_png(bad, np.zeros((32, 32), dtype=np.uint8))
+        bad.write_bytes(bad.read_bytes()[:40])
+        with pytest.warns(UserWarning, match="broken"):
+            loaded = load_dataset(tmp_path, 32)
+        assert [s.id for s in loaded] == [s.id for s in samples]
 
     def test_non_square_image_reported(self, tmp_path):
         (tmp_path / "images").mkdir()

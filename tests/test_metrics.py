@@ -12,7 +12,6 @@ from fcxs.metrics import (
     boundary_pixels,
     certain_pixels,
     dice,
-    dice_from_jaccard,
     jaccard,
     jaccard_from_dice,
     surface_distance_symmetric,
@@ -22,6 +21,11 @@ FIXTURE = Path(__file__).parent / "data" / "reference_overlap_pairs.csv"
 
 
 # -- independent oracles -----------------------------------------------------------
+
+
+def dice_from_jaccard(j: float) -> float:
+    """Inverse of J = D/(2-D)."""
+    return 2.0 * j / (1.0 + j)
 
 
 def dice_oracle(pred, gt):

@@ -127,6 +127,12 @@ class TestArchConfig:
         with pytest.raises(ConfigError):
             ArchConfig(arch="resnet")
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("width", [0, -16])
+    def test_non_positive_width_rejected(self, arch, width):
+        with pytest.raises(ConfigError, match=f"base_channels: must be positive, got {width}"):
+            ArchConfig(arch=arch, base_channels=width)
+
     def test_roundtrip_dict(self):
         cfg = small_config("all_dropout")
         assert ArchConfig.from_dict(cfg.to_dict()) == cfg

@@ -5,6 +5,7 @@ share no code with the library implementations they check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,40 @@ def conv2d_oracle(x, w, b, stride=1):
                                     acc += x[ni, ci, iy, ix] * w[fi, ci, ky, kx]
                     out[ni, fi, oy, ox] = acc + b[fi]
     return out
+
+
+def batched_im2col_conv2d(x, w, b, g, stride=1):
+    """Whole-batch im2col convolution and its backward for upstream gradient g.
+
+    Returns (out, dx, dw, db).  Each output element is the dot product and
+    each gradient the sum that the library forms, in the same order, so a
+    lean conv2d must match this bit for bit.
+    """
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    ho, wo = -(-h // stride), -(-wd // stride)
+    pad_h = max((ho - 1) * stride + kh - h, 0)
+    pad_w = max((wo - 1) * stride + kw - wd, 0)
+    pt, pl = pad_h // 2, pad_w // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pad_h - pt), (pl, pad_w - pl)))
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    cols_mat = cols.reshape(n, c * kh * kw, ho * wo)
+    w_mat = w.reshape(f, c * kh * kw)
+    out = (w_mat @ cols_mat).reshape(n, f, ho, wo) + b.reshape(1, f, 1, 1)
+    g_mat = g.reshape(n, f, ho * wo)
+    db = g.sum(axis=(0, 2, 3))
+    dw = g_mat[0] @ cols_mat[0].T
+    for k in range(1, n):
+        dw += g_mat[k] @ cols_mat[k].T
+    dcols = (w_mat.T @ g_mat).reshape(n, c, kh, kw, ho, wo)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]
+    return out, dxp[:, :, pt : pt + h, pl : pl + wd], dw.reshape(w.shape), db
 
 
 def transposed_conv2d_oracle(x, w, b):
@@ -135,6 +170,47 @@ class TestConv2d:
         got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
         expected = conv2d_oracle(x, w, b, stride=stride)
         np.testing.assert_allclose(got.data, expected, rtol=1e-5, atol=1e-5)
+
+    # (70, 40) splits the forward into row blocks with a ragged last block
+    # at both strides: 13-row blocks of 40 output pixels (stride 1) and
+    # 26-row blocks of 20 (stride 2)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [(5, 7), (70, 40)])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_bit_identical_to_batched_im2col(self, batch, stride, kernel, size, dtype):
+        rng = Rng(batch * 100 + stride * 10 + kernel)
+        x = rng.child(0).normal((batch, 3) + size, dtype=dtype)
+        w = rng.child(1).normal((4, 3, kernel, kernel), dtype=dtype)
+        b = rng.child(2).normal((4,), dtype=dtype)
+        ho, wo = -(-size[0] // stride), -(-size[1] // stride)
+        g = rng.child(3).normal((batch, 4, ho, wo), dtype=dtype)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = ops.conv2d(xt, wt, bt, stride=stride)
+        T.tsum(T.mul(out, Tensor(g))).backward()  # hands conv2d exactly g
+        expected = batched_im2col_conv2d(x, w, b, g, stride=stride)
+        for name, got, want in zip(("out", "dx", "dw", "db"), (out.data, xt.grad, wt.grad, bt.grad), expected):
+            assert got.dtype == dtype, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 1)])
+    def test_recording_keeps_no_buffer_beyond_output(self, kernel, stride):
+        # 72 input rows per column against 4 filters: a column buffer kept
+        # for the backward pass would be 18x the output
+        rng = Rng(8)
+        x = Tensor(rng.child(0).normal((2, 8, 32, 32)), requires_grad=True)
+        w = Tensor(rng.child(1).normal((4, 8, kernel, kernel)), requires_grad=True)
+        b = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(x, w, b, stride=stride)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        assert retained <= out.data.nbytes + 4096, (retained, out.data.nbytes)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -293,6 +369,19 @@ class TestActivations:
         x = Tensor(np.linspace(-2, 2, 9))
         for kind, fn in (("elu", ops.elu), ("relu", ops.relu), ("sigmoid", ops.sigmoid)):
             np.testing.assert_array_equal(ops.activation(kind, x).data, fn(x).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_gradient_exact(self, dtype):
+        x = np.array([-100.0, -20.0, -1.5, -1e-3, -0.0, 0.0, 1e-3, 2.0], dtype=dtype)
+        g = np.array([0.7, -1.3, 2.0, -0.5, 3.0, -3.0, 1.1, -0.9], dtype=dtype)
+        xt = Tensor(x, requires_grad=True)
+        T.tsum(T.mul(ops.elu(xt), Tensor(g))).backward()
+        # d elu / dx is exp(x) below zero (and at it), 1 above
+        expected = np.where(x > 0, g, g * (np.expm1(x) + 1))
+        assert xt.grad.dtype == dtype
+        assert np.array_equal(xt.grad, expected)
+        assert np.array_equal(xt.grad[4:6], g[4:6])  # exp(0) = 1
+        assert xt.grad[0] == 0.0  # expm1(-100) rounds to -1 in both dtypes
 
     @pytest.mark.parametrize("kind", ["elu", "relu", "sigmoid"])
     def test_gradients_match_finite_differences(self, kind):

@@ -27,13 +27,6 @@ class TestTensorBasics:
         with pytest.raises(NumericError):
             T.log(x)  # log(0), log(-1)
 
-    def test_finite_check_can_be_disabled(self):
-        x = Tensor(np.array([0.0]), requires_grad=True)
-        with T.finite_checks(False):
-            out = T.log(x)
-        assert np.isneginf(out.data).all()
-        assert T.finite_checks_enabled()
-
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
