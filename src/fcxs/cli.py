@@ -4,7 +4,8 @@ Subcommands:
   synth        -- write a synthetic PGM dataset
   train        -- train per a JSON run config; emits checkpoints + history
   eval         -- score checkpoints on the config's test split (ensembles
-                  when several checkpoints are given)
+                  when several checkpoints are given), normalized by the
+                  training split's statistics as in training
   params       -- parameter count and per-layer table for the configured net
   gradcheck    -- finite-difference verification of a reduced-width build
   significance -- pairwise Wilcoxon matrix from per-image record CSVs
@@ -24,9 +25,8 @@ from pathlib import Path
 from .config import load_run_config
 from .data import (
     CLASS_NAMES,
-    compute_norm_stats,
     load_dataset,
-    normalize_samples,
+    normalize_by_train_split,
     save_dataset,
     save_split,
     split_dataset,
@@ -44,7 +44,7 @@ from .models import (
     load_checkpoint,
 )
 from .stats import significance_matrix, significance_matrix_csv
-from .training import train
+from .training import train_run
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -96,26 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare_samples(cfg):
+def _load_run_data(cfg):
+    """The run's raw samples and its split, both recomputed from the config."""
     if cfg.data.synthetic is not None:
         samples = synth_generate(cfg.data.synthetic.n, cfg.data.resolution, cfg.data.synthetic.seed)
     else:
-        samples = load_dataset(cfg.data.root, cfg.data.resolution, on_error="warn")
+        samples = load_dataset(cfg.data.root, cfg.data.resolution)
         if not samples:
             raise DataError(f"no usable samples under {cfg.data.root}")
-    stats = compute_norm_stats(samples)
-    return samples, stats
-
-
-def _split_for(cfg, ids):
     sp = cfg.train.split
-    return split_dataset(
-        ids,
-        scheme=sp.scheme,
-        fractions=SPLIT_PRESETS[sp.preset],
-        fold=sp.fold,
-        seed=sp.seed,
-    )
+    ids = [s.id for s in samples]
+    split = split_dataset(ids, scheme=sp.scheme, fractions=SPLIT_PRESETS[sp.preset], fold=sp.fold, seed=sp.seed)
+    return samples, split
 
 
 def cmd_synth(args) -> int:
@@ -131,24 +123,9 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir)
 
-    samples, stats = _prepare_samples(cfg)
-    normed = normalize_samples(samples, stats)
-    split = _split_for(cfg, [s.id for s in normed])
+    samples, split = _load_run_data(cfg)
     save_split(split, out_dir / "split.json")
-
-    net, history = train(
-        build_network(cfg.arch_config()),
-        normed,
-        split,
-        cfg.loss_config(),
-        epochs=cfg.train.epochs,
-        batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr,
-        seed=cfg.train.seed,
-        patience=cfg.train.patience,
-        epsilon=cfg.eval.epsilon,
-        checkpoint_dir=out_dir,
-    )
+    _, history, _ = train_run(cfg, samples, split, checkpoint_dir=out_dir)
     (out_dir / "history.csv").write_text(history.to_csv())
     (out_dir / "timing.csv").write_text(history.timing_csv())
     status = "diverged" if history.diverged else "finished"
@@ -174,9 +151,8 @@ def cmd_eval(args) -> int:
             f"checkpoint resolution {resolutions} does not match data.resolution {cfg.data.resolution}"
         )
 
-    samples, stats = _prepare_samples(cfg)
-    normed = normalize_samples(samples, stats)
-    split = _split_for(cfg, [s.id for s in normed])
+    samples, split = _load_run_data(cfg)
+    normed, _ = normalize_by_train_split(samples, split)
     by_id = {s.id: s for s in normed}
     raw_by_id = {s.id: s for s in samples}
     test_samples = [by_id[i] for i in split.test]

@@ -89,13 +89,6 @@ class NormStats:
     mean: float
     std: float
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(float(d["mean"]), float(d["std"]))
-
 
 def compute_norm_stats(samples: Sequence[Sample]) -> NormStats:
     """Single global mean/std over all training pixels."""
@@ -122,6 +115,16 @@ def apply_norm(sample: Sample, stats: NormStats) -> Sample:
 
 def normalize_samples(samples: Sequence[Sample], stats: NormStats) -> list[Sample]:
     return [apply_norm(s, stats) for s in samples]
+
+
+def normalize_by_train_split(samples: Sequence[Sample], split: DatasetSplit) -> tuple[list[Sample], NormStats]:
+    """Every sample normalized by the stats of the ``split.train`` pixels alone,
+    so nothing fitted sees a validation or test image."""
+    train_ids = set(split.train)
+    if not train_ids:
+        raise ConfigError("training split is empty")
+    stats = compute_norm_stats([s for s in samples if s.id in train_ids])
+    return normalize_samples(samples, stats), stats
 
 
 # -- splits -----------------------------------------------------------------------
@@ -315,15 +318,12 @@ def _load_mask(path, resolution: int) -> np.ndarray:
     return (binary >= 0.5).astype(np.uint8)
 
 
-def load_dataset(root, resolution: int, on_error: str = "warn") -> list[Sample]:
+def load_dataset(root, resolution: int) -> list[Sample]:
     """Load images/<id>.(pgm|png) with masks/<id>_<class>.(pgm|png).
 
-    Incomplete or malformed samples are reported per id (warning by
-    default, exception with on_error='raise') and skipped; ids are
-    returned in lexicographic order.
+    Incomplete or malformed samples are reported per id in one warning
+    and skipped; ids are returned in lexicographic order.
     """
-    if on_error not in ("warn", "raise"):
-        raise ConfigError(f"on_error must be 'warn' or 'raise', got {on_error!r}")
     root = Path(root)
     image_dir = root / "images"
     mask_dir = root / "masks"
@@ -363,10 +363,7 @@ def load_dataset(root, resolution: int, on_error: str = "warn") -> list[Sample]:
         except DataError as exc:
             problems.append(str(exc))
     if problems:
-        message = "; ".join(problems)
-        if on_error == "raise":
-            raise DataError(message)
-        warnings.warn(message, stacklevel=2)
+        warnings.warn("; ".join(problems), stacklevel=2)
     return samples
 
 

@@ -17,22 +17,49 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (
-    CLASS_NAMES,
-    DatasetSplit,
-    NormStats,
-    Sample,
-    compute_norm_stats,
-    normalize_image,
-    normalize_samples,
-    split_dataset,
-)
-from .errors import ConfigError
-from .losses import LossConfig
-from .metrics import dice, jaccard_from_dice
-from .models import ArchConfig, build_network, ensemble_predict, organ_probabilities
-from .training import train
-from .validation import check_image_batch, check_is_fitted, check_mask_batch
+from .config import ArchSection, DataConfig, EvalSection, LossSection, RunConfig, TrainSection
+from .data import CLASS_NAMES, DatasetSplit, NormStats, Sample, normalize_image, split_dataset
+from .errors import ConfigError, DataError
+from .evaluation import evaluate
+from .models import ensemble_predict, organ_probabilities
+from .training import train_run
+
+
+def check_image_batch(X) -> np.ndarray:
+    """Coerce to (n, 1, H, W) float32 square grayscale images."""
+    arr = np.asarray(X)
+    if arr.ndim == 3:
+        arr = arr[:, None, :, :]
+    if arr.ndim != 4 or arr.shape[1] != 1:
+        raise DataError(f"X must be (n, H, W) or (n, 1, H, W) grayscale images, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise DataError("X is empty")
+    if arr.shape[2] != arr.shape[3]:
+        raise DataError(f"images must be square, got {arr.shape[2]}x{arr.shape[3]}")
+    arr = arr.astype(np.float32)
+    if not np.isfinite(arr).all():
+        raise DataError("X contains non-finite values")
+    return arr
+
+
+def check_mask_batch(y, n: int, hw: tuple[int, int]) -> np.ndarray:
+    """Coerce to (n, 3, H, W) binary uint8 organ masks matching X."""
+    arr = np.asarray(y)
+    if arr.ndim != 4 or arr.shape[1] != 3:
+        raise DataError(f"y must be (n, 3, H, W) binary organ masks, got shape {arr.shape}")
+    if arr.shape[0] != n:
+        raise DataError(f"y has {arr.shape[0]} samples but X has {n}")
+    if arr.shape[2:] != hw:
+        raise DataError(f"y spatial dims {arr.shape[2:]} do not match X {hw}")
+    if not np.isin(arr, (0, 1)).all():
+        raise DataError("y masks must be binary (0/1)")
+    return arr.astype(np.uint8)
+
+
+def _samples(X: np.ndarray, y) -> list[Sample]:
+    """Checked (n, 1, H, W) images and their masks y as Samples in index order."""
+    y = check_mask_batch(y, X.shape[0], X.shape[2:])
+    return [Sample(f"s{i:05d}", X[i], y[i]) for i in range(X.shape[0])]
 
 
 class FCNSegmenter:
@@ -101,50 +128,38 @@ class FCNSegmenter:
     # -- estimator API ---------------------------------------------------------
 
     def fit(self, X, y) -> "FCNSegmenter":
+        """Train on (X, y) through the same protocol as ``fcxs train``.
+
+        With ``valid_fraction > 0`` a seeded share of the images becomes
+        the monitoring split; otherwise every image trains and is
+        monitored.  The normalization statistics (``norm_stats_``) come
+        from the training split's pixels alone.
+        """
         X = check_image_batch(X)
-        y = check_mask_batch(y, X.shape[0], X.shape[2:])
-        resolution = X.shape[2]
-        loss_config = LossConfig(self.loss, weighted=self.weighted)
-        config = ArchConfig(
-            arch=self.arch,
-            input_resolution=resolution,
-            head=loss_config.head,
-            activation=self.activation,
-            drop_probability=self.drop_probability,
-            base_channels=self.base_channels,
-            init_seed=self.seed,
-        )
-        samples = [Sample(f"s{i:05d}", X[i], y[i]) for i in range(X.shape[0])]
-        self.norm_stats_ = compute_norm_stats(samples)
-        normed = normalize_samples(samples, self.norm_stats_)
-        ids = [s.id for s in normed]
+        samples = _samples(X, y)
         if not 0.0 <= self.valid_fraction < 1.0:
             raise ConfigError(f"valid_fraction must be in [0, 1), got {self.valid_fraction}")
+        ids = [s.id for s in samples]
         if self.valid_fraction > 0.0 and len(ids) > 1:
-            split = split_dataset(
-                ids,
-                fractions=(1.0 - self.valid_fraction, self.valid_fraction, 0.0),
-                seed=self.seed,
-            )
+            fractions = (1.0 - self.valid_fraction, self.valid_fraction, 0.0)
+            split = split_dataset(ids, fractions=fractions, seed=self.seed)
         else:
             split = DatasetSplit(ids, [], [], self.seed, "all-train")
-        net = build_network(config)
-        self.net_, self.history_ = train(
-            net,
-            normed,
-            split,
-            loss_config,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            seed=self.seed,
-            patience=self.patience,
-            epsilon=self.epsilon,
+        cfg = RunConfig(
+            data=DataConfig(resolution=X.shape[2]),
+            arch=ArchSection(self.arch, self.activation, self.drop_probability, self.base_channels, self.seed),
+            loss=LossSection(self.loss, self.weighted),
+            train=TrainSection(self.epochs, self.batch_size, self.lr, self.patience, self.seed),
+            eval=EvalSection(epsilon=self.epsilon),
         )
+        self.net_, self.history_, self.norm_stats_ = train_run(cfg, samples, split)
         self.classes_ = CLASS_NAMES
         return self
 
     def _normalized(self, X) -> np.ndarray:
+        """X checked against the fitted model and normalized by ``norm_stats_``."""
+        if self.net_ is None:
+            raise ConfigError(f"{type(self).__name__} is not fitted yet; call fit first")
         X = check_image_batch(X)
         if X.shape[2] != self.net_.config.input_resolution:
             raise ConfigError(
@@ -155,27 +170,22 @@ class FCNSegmenter:
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-organ probability maps, (n, 3, H, W) float32."""
-        check_is_fitted(self)
-        X = self._normalized(X)
-        return np.stack([organ_probabilities(self.net_, x) for x in X])
+        return np.stack([organ_probabilities(self.net_, x) for x in self._normalized(X)])
 
     def predict(self, X) -> np.ndarray:
         """Thresholded per-organ masks, (n, 3, H, W) uint8."""
-        check_is_fitted(self)
         return np.stack([ensemble_predict([self.net_], x, self.epsilon) for x in self._normalized(X)])
 
     def score(self, X, y) -> float:
-        """Mean Jaccard over images and organ classes."""
-        check_is_fitted(self)
-        preds = self.predict(X)
-        y = check_mask_batch(y, preds.shape[0], preds.shape[2:])
-        scores = [
-            jaccard_from_dice(dice(preds[i, c], y[i, c]))
-            for i in range(preds.shape[0])
-            for c in range(3)
-        ]
-        return float(np.mean(scores))
+        """Mean Jaccard over images and organ classes: the mean ``jaccard``
+        of the ``evaluate`` records, so the targets follow the head as in
+        ``fcxs eval`` (the stored masks for 'dice', the disjoint organ
+        channels for 'cross_entropy')."""
+        samples = _samples(self._normalized(X), y)
+        records, _ = evaluate(self.net_, samples, self.epsilon, with_surface_distance=False)
+        return float(np.mean([r.jaccard for r in records]))
 
     def __repr__(self) -> str:
         params = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._param_names())
         return f"{type(self).__name__}({params})"
+

@@ -483,6 +483,8 @@ def load_checkpoint(path) -> Network:
             if len(raw) != 4 * count:
                 raise DataError(f"{path}: truncated parameter data for {name}")
             arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise DataError(f"{path}: non-finite values in parameter {name}")
         trailing = fh.read(1)
         if trailing:
             raise DataError(f"{path}: trailing bytes after parameter data")

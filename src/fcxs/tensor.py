@@ -27,13 +27,11 @@ an exception.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import GraphStateError, NumericError, ShapeError
-
-Scalar = Union[int, float]
 
 _RECORDING = True
 

@@ -23,11 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import DatasetSplit, GroundTruth, Sample, build_groundtruth
+from .config import RunConfig
+from .data import DatasetSplit, GroundTruth, NormStats, Sample, build_groundtruth, normalize_by_train_split
 from .errors import ConfigError, NumericError
 from .losses import LossConfig, class_weights, segmentation_loss
 from .metrics import dice, jaccard_from_dice
-from .models import Network, ensemble_predict, save_checkpoint
+from .models import Network, build_network, ensemble_predict, save_checkpoint
 from .optim import Adam
 from .rng import Rng
 
@@ -192,6 +193,28 @@ def train(
     if checkpoint_dir is not None:
         save_checkpoint(net, checkpoint_dir / "best.fcxs")
     return net, history
+
+
+def train_run(
+    cfg: RunConfig, samples: Sequence[Sample], split: DatasetSplit, checkpoint_dir=None
+) -> tuple[Network, TrainHistory, NormStats]:
+    """The run protocol: normalize every sample by the ``split.train``
+    statistics, build the configured network and train it."""
+    normed, stats = normalize_by_train_split(samples, split)
+    net, history = train(
+        build_network(cfg.arch_config()),
+        normed,
+        split,
+        cfg.loss_config(),
+        epochs=cfg.train.epochs,
+        batch_size=cfg.train.batch_size,
+        lr=cfg.train.lr,
+        seed=cfg.train.seed,
+        patience=cfg.train.patience,
+        epsilon=cfg.eval.epsilon,
+        checkpoint_dir=checkpoint_dir,
+    )
+    return net, history, stats
 
 
 def _with_state(net: Network, state: list[tuple[str, np.ndarray]]) -> Network:

@@ -141,6 +141,27 @@ class TestTrainCommand:
         for name in ("history.csv", "best.fcxs", "last.fcxs", "split.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
+    def test_test_split_images_never_reach_training(self, tmp_path):
+        from fcxs.data import save_dataset, synth_generate
+        from fcxs.imageio import write_pgm
+
+        for name in ("a", "b"):
+            save_dataset(synth_generate(6, 32, seed=3), tmp_path / name)
+        data = {"root": str(tmp_path / "a"), "synthetic": None}
+        cfg_a = run_config(tmp_path, data=data, output={"directory": str(tmp_path / "out_a")})
+        assert main(["train", "--config", str(cfg_a)]) == 0
+        test_ids = json.loads((tmp_path / "out_a" / "split.json").read_text())["test"]
+        assert test_ids
+        for image_id in test_ids:  # dataset b differs from a only in the test images
+            write_pgm(tmp_path / "b" / "images" / f"{image_id}.pgm", np.full((32, 32), 255))
+        cfg_b = json.loads(cfg_a.read_text())
+        cfg_b["data"]["root"] = str(tmp_path / "b")
+        cfg_b["output"]["directory"] = str(tmp_path / "out_b")
+        (tmp_path / "config_b.json").write_text(json.dumps(cfg_b))
+        assert main(["train", "--config", str(tmp_path / "config_b.json")]) == 0
+        for name in ("history.csv", "split.json", "best.fcxs", "last.fcxs"):
+            assert (tmp_path / "out_a" / name).read_bytes() == (tmp_path / "out_b" / name).read_bytes(), name
+
     def test_bad_pairing_exit_code_2(self, tmp_path, capsys):
         # the loss alone sets the encoding; a data.encoding key is rejected
         cfg = run_config(tmp_path, loss={"distance": "cross_entropy"}, data={"encoding": "dice"})
@@ -253,13 +274,13 @@ class TestEvalCommand:
 
         run = load_run_config(cfg)
         samples = synth_generate(run.data.synthetic.n, run.data.resolution, run.data.synthetic.seed)
-        normed = normalize_samples(samples, compute_norm_stats(samples))
         split = split_dataset(
-            [s.id for s in normed],
+            [s.id for s in samples],
             scheme=run.train.split.scheme,
             fractions=SPLIT_PRESETS[run.train.split.preset],
             seed=run.train.split.seed,
         )
+        normed = normalize_samples(samples, compute_norm_stats([s for s in samples if s.id in split.train]))
         nets = [load_checkpoint(c) for c in ckpts]
         by_id = {s.id: s for s in normed}
         for image_id in split.test:

@@ -6,13 +6,13 @@ import pytest
 from fcxs.data import (
     CLASS_NAMES,
     DatasetSplit,
-    NormStats,
     Sample,
     apply_norm,
     build_groundtruth,
     compute_norm_stats,
     load_dataset,
     load_split,
+    normalize_by_train_split,
     normalize_samples,
     save_dataset,
     save_split,
@@ -147,9 +147,14 @@ class TestNormalization:
         with pytest.raises(DataError):
             compute_norm_stats([])
 
-    def test_stats_roundtrip_dict(self):
-        stats = NormStats(1.5, 2.5)
-        assert NormStats.from_dict(stats.to_dict()) == stats
+    def test_stats_come_from_train_split_only(self):
+        samples = synth_generate(4, 32, seed=5)
+        ids = [s.id for s in samples]
+        normed, stats = normalize_by_train_split(samples, DatasetSplit([ids[2], ids[0]], [ids[1]], [ids[3]], 0, "x"))
+        assert stats == compute_norm_stats([samples[0], samples[2]])
+        assert [s.id for s in normed] == ids
+        with pytest.raises(ConfigError, match="training split is empty"):
+            normalize_by_train_split(samples, DatasetSplit([], [], ids, 0, "x"))
 
 
 class TestSplits:
@@ -366,8 +371,6 @@ class TestLoadDataset:
         with pytest.warns(UserWarning, match=samples[1].id):
             loaded = load_dataset(tmp_path, 32)
         assert len(loaded) == 3
-        with pytest.raises(DataError, match=samples[1].id):
-            load_dataset(tmp_path, 32, on_error="raise")
 
     def test_malformed_png_reported_and_skipped(self, tmp_path):
         samples = synth_generate(2, 32, seed=16)

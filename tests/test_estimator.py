@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fcxs.data import synth_generate
+from fcxs.data import Sample, normalize_image, split_dataset, synth_generate
 from fcxs.errors import ConfigError, DataError
 from fcxs.estimator import FCNSegmenter
+from fcxs.evaluation import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,27 @@ class TestFitPredict:
         X, y = xy
         model = quick_model(valid_fraction=0.34).fit(X, y)
         assert model.history_.monitored_split == "valid"
+
+    def test_valid_split_images_never_reach_norm_stats(self, xy):
+        X, y = xy
+        split = split_dataset([f"s{i:05d}" for i in range(len(X))], fractions=(0.66, 0.34, 0.0), seed=0)
+        assert split.valid
+        changed = X.copy()
+        for image_id in split.valid:
+            changed[int(image_id[1:])] = 1.0
+        a = quick_model(valid_fraction=0.34, epochs=1).fit(X, y)
+        b = quick_model(valid_fraction=0.34, epochs=1).fit(changed, y)
+        assert a.norm_stats_ == b.norm_stats_
+
+    @pytest.mark.parametrize("loss", ["dice", "cross_entropy"])
+    def test_score_is_mean_jaccard_of_evaluate(self, xy, loss):
+        X, y = xy
+        model = quick_model(loss=loss).fit(X, y)
+        samples = [
+            Sample(f"s{i:05d}", normalize_image(X[i][None], model.norm_stats_), y[i]) for i in range(len(X))
+        ]
+        records, _ = evaluate(model.net_, samples, model.epsilon, with_surface_distance=False)
+        assert model.score(X, y) == np.mean([r.jaccard for r in records])
 
     def test_deterministic_across_refits(self, xy):
         X, y = xy

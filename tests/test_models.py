@@ -442,6 +442,7 @@ class TestCheckpoints:
             pytest.param(
                 lambda data: _rewrite_header(data, lambda h: h["config"].update(arch="nope")), id="unknown_arch"
             ),
+            pytest.param(lambda data: _with_first_weight(data, np.float32("nan")), id="nan_first_weight"),
         ],
     )
     def test_truncated_rejected(self, tmp_path, corrupt):
@@ -460,6 +461,13 @@ def _rewrite_header(data: bytes, edit) -> bytes:
     edit(header)
     blob = json.dumps(header).encode("utf-8")
     return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :]
+
+
+def _with_first_weight(data: bytes, value) -> bytes:
+    """The checkpoint with its first float32 parameter value replaced."""
+    (length,) = struct.unpack("<I", data[8:12])
+    start = 12 + length
+    return data[:start] + struct.pack("<f", value) + data[start + 4 :]
 
 
 class _FakeNet:
@@ -523,3 +531,4 @@ class TestEnsemble:
         b = build_network(small_config("unet_original", head="softmax"))
         with pytest.raises(ConfigError):
             ensemble_predict([a, b], np.zeros((1, 16, 16), dtype=np.float32))
+
