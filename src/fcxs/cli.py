@@ -34,7 +34,7 @@ from .data import (
     SPLIT_PRESETS,
 )
 from .errors import ConfigError, DataError, FcxsError, NumericError
-from .evaluation import evaluate, export_masks, records_from_csv, records_to_csv
+from .evaluation import evaluate, export_masks, read_records, records_to_csv
 from .gradcheck import gradcheck_network
 from .models import (
     ARCHITECTURES,
@@ -233,7 +233,7 @@ def cmd_significance(args) -> int:
     per_class_scores: dict[str, dict[str, list[float]]] = {c: {} for c in CLASS_NAMES}
     reference_ids = None
     for path in args.records:
-        records = records_from_csv(Path(path).read_text())
+        records = read_records(path)
         name = Path(path).stem
         ids = [r.image_id for r in records if r.class_name == CLASS_NAMES[0]]
         if reference_ids is None:

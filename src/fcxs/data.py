@@ -121,8 +121,6 @@ def normalize_by_train_split(samples: Sequence[Sample], split: DatasetSplit) -> 
     """Every sample normalized by the stats of the ``split.train`` pixels alone,
     so nothing fitted sees a validation or test image."""
     train_ids = set(split.train)
-    if not train_ids:
-        raise ConfigError("training split is empty")
     stats = compute_norm_stats([s for s in samples if s.id in train_ids])
     return normalize_samples(samples, stats), stats
 
@@ -139,6 +137,8 @@ class DatasetSplit:
     scheme: str
 
     def __post_init__(self):
+        if not self.train:
+            raise ConfigError("training split is empty")
         groups = [set(self.train), set(self.valid), set(self.test)]
         total = sum(len(g) for g in groups)
         union = set().union(*groups)
@@ -192,7 +192,7 @@ def split_dataset(
     if scheme == "fractions":
         n = len(order)
         n_train = round(f_train * n)
-        n_valid = round(f_valid * n)
+        n_valid = n - n_train if f_test == 0 else round(f_valid * n)
         if n_train + n_valid > n:
             raise ConfigError("split fractions leave no room for a test set")
         return DatasetSplit(

@@ -123,26 +123,49 @@ def summarize(records: Sequence[EvalRecord], label: str = "evaluation") -> Repor
     )
 
 
+_RECORD_HEADER = "id,class,dice,jaccard,surface_distance"
+
+
 def records_to_csv(records: Sequence[EvalRecord]) -> str:
-    lines = ["id,class,dice,jaccard,surface_distance"]
+    lines = [_RECORD_HEADER]
     for r in records:
         sd_text = "NA" if math.isnan(r.surface_distance) else f"{r.surface_distance:.6f}"
         lines.append(f"{r.image_id},{r.class_name},{r.dice:.6f},{r.jaccard:.6f},{sd_text}")
     return "\n".join(lines) + "\n"
 
 
-def records_from_csv(text: str) -> list[EvalRecord]:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    header = lines[0].split(",")
-    if header != ["id", "class", "dice", "jaccard", "surface_distance"]:
-        raise DataError(f"unexpected record CSV header: {lines[0]!r}")
+def records_from_csv(text: str, source: str = "records") -> list[EvalRecord]:
+    """Parse ``records_to_csv`` text; a malformed line is a DataError naming ``source`` and the line."""
+    rows = [(number, ln) for number, ln in enumerate(text.split("\n"), start=1) if ln]
+    if not rows:
+        raise DataError(f"{source}: empty record CSV")
+    number, header = rows[0]
+    if header != _RECORD_HEADER:
+        raise DataError(f"{source}:{number}: unexpected record CSV header: {header!r}")
     records = []
-    for ln in lines[1:]:
-        image_id, cls, d, j, sd = ln.split(",")
-        records.append(
-            EvalRecord(image_id, cls, float(d), float(j), float("nan") if sd == "NA" else float(sd))
-        )
+    for number, ln in rows[1:]:
+        try:
+            image_id, cls, d, j, sd = ln.split(",")
+            records.append(
+                EvalRecord(image_id, cls, float(d), float(j), float("nan") if sd == "NA" else float(sd))
+            )
+        except ValueError as exc:
+            raise DataError(f"{source}:{number}: malformed record {ln!r} ({exc})") from exc
     return records
+
+
+def read_records(path) -> list[EvalRecord]:
+    """The records CSV at ``path``; a missing, unreadable or malformed file is a DataError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read records {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: records are not UTF-8 text ({exc.reason})") from exc
+    return records_from_csv(text, str(path))
 
 
 def export_masks(

@@ -230,6 +230,7 @@ class _Builder:
     def __init__(self, config: ArchConfig, dtype):
         self.config = config
         self.dtype = dtype
+        self.dropout = config.arch != "unet_original"
         self.steps: list[Step] = []
         self.rng = Rng(config.init_seed)
         self._draw = 0
@@ -263,7 +264,7 @@ class _Builder:
 
     def pool(self, name, src, stride) -> int:
         return self.add(
-            name, [src], "maxpool", lambda xs, mode, rng: ops.maxpool2d(xs[0], size=2, stride=stride),
+            name, [src], "maxpool", lambda xs, mode, rng: ops.maxpool2d(xs[0], stride=stride),
             f"maxpool 2x2 stride {stride}",
         )
 
@@ -271,22 +272,22 @@ class _Builder:
         fn_name = fn_name or self.config.activation
         return self.add(name, [src], "activation", lambda xs, mode, rng: ops.activation(fn_name, xs[0]), fn_name)
 
-    def drop(self, name, src) -> int:
+    def act_drop(self, name, src) -> int:
+        """``name.act``, then ``name.drop`` when the architecture uses dropout."""
+        node = self.act(f"{name}.act", src)
+        if not self.dropout:
+            return node
         d = self.config.drop_probability
         return self.add(
-            name, [src], "dropout", lambda xs, mode, rng: ops.gaussian_dropout(xs[0], d, mode, rng),
+            f"{name}.drop", [node], "dropout", lambda xs, mode, rng: ops.gaussian_dropout(xs[0], d, mode, rng),
             f"gaussian dropout d={d}",
         )
 
+    def conv_act(self, name, src, c_in, c_out, stride=1) -> int:
+        return self.act_drop(name, self.conv(name, src, c_in, c_out, stride=stride))
+
     def concat(self, name, skip, src) -> int:
         return self.add(name, [skip, src], "concat", lambda xs, mode, rng: ops.concat_channels(*xs), "concat")
-
-    def conv_act(self, name, src, c_in, c_out, stride=1, dropout=False) -> int:
-        node = self.conv(name, src, c_in, c_out, stride=stride)
-        node = self.act(f"{name}.act", node)
-        if dropout:
-            node = self.drop(f"{name}.drop", node)
-        return node
 
     def head(self, src, c_in) -> int:
         node = self.conv("head", src, c_in, self.config.num_classes, kernel=1)
@@ -297,102 +298,47 @@ class _Builder:
             )
         return self.act("head.sigmoid", node, "sigmoid")
 
-    def network(self) -> Network:
-        return Network(self.config, self.steps)
-
-
-def _unet_family(config: ArchConfig, dtype, dropout: bool, conv_pool: bool) -> Network:
-    b = _Builder(config, dtype)
-    c0 = config.base_channels
-    enc_channels = [c0, 2 * c0, 4 * c0, 8 * c0, 16 * c0]
-    skips = []
-    node, ch = -1, config.in_channels
-    for lvl, c in enumerate(enc_channels):
-        node = b.conv_act(f"enc{lvl}.conv0", node, ch, c, dropout=dropout)
-        node = b.conv_act(f"enc{lvl}.conv1", node, c, c, dropout=dropout)
-        ch = c
-        if lvl < 4:
-            skips.append(node)
-            if conv_pool:
-                node = b.conv_act(f"enc{lvl}.poolconv", node, c, c, stride=2, dropout=dropout)
-            else:
-                node = b.pool(f"enc{lvl}.pool", node, stride=2)
-    for lvl in range(3, -1, -1):
-        c = enc_channels[lvl]
-        node = b.tconv(f"dec{lvl}.up", node, ch, c)
-        node = b.act(f"dec{lvl}.up.act", node)
-        if dropout:
-            node = b.drop(f"dec{lvl}.up.drop", node)
-        node = b.concat(f"dec{lvl}.concat", skips[lvl], node)
-        node = b.conv_act(f"dec{lvl}.conv0", node, 2 * c, c, dropout=dropout)
-        node = b.conv_act(f"dec{lvl}.conv1", node, c, c, dropout=dropout)
-        ch = c
-    b.head(node, ch)
-    return b.network()
-
-
-def build_unet_original(config: ArchConfig, dtype=np.float32) -> Network:
-    """Five-level encoder/decoder with stride-2 max pooling and no dropout."""
-    return _unet_family(config, dtype, dropout=False, conv_pool=False)
-
-
-def build_all_dropout(config: ArchConfig, dtype=np.float32) -> Network:
-    """unet_original plus Gaussian dropout after every convolution's activation."""
-    return _unet_family(config, dtype, dropout=True, conv_pool=False)
-
-
-def build_all_convolutional(config: ArchConfig, dtype=np.float32) -> Network:
-    """all_dropout with pooling learned as stride-2 3x3 convolutions."""
-    return _unet_family(config, dtype, dropout=True, conv_pool=True)
-
-
-def build_invertednet(config: ArchConfig, dtype=np.float32) -> Network:
-    """Wide-first schedule with delayed subsampling.
-
-    The first pool subsamples (stride 2); every later pool is stride 1
-    and the first convolution after it carries the stride-2 instead, so
-    features are extracted before resolution is lost.
-    """
-    b = _Builder(config, dtype)
-    c0 = config.base_channels
-    enc_channels = [c0, c0 // 2, c0 // 4, c0 // 8, c0 // 16]
-    skips = []
-    node = b.conv_act("enc0.conv0", -1, config.in_channels, enc_channels[0], dropout=True)
-    node = b.conv_act("enc0.conv1", node, enc_channels[0], enc_channels[0], dropout=True)
-    skips.append(node)
-    ch = enc_channels[0]
-    for lvl, c in enumerate(enc_channels[1:], start=1):
-        pool_stride = 2 if lvl == 1 else 1
-        conv_stride = 1 if lvl == 1 else 2
-        node = b.pool(f"enc{lvl}.pool", node, stride=pool_stride)
-        node = b.conv_act(f"enc{lvl}.conv0", node, ch, c, stride=conv_stride, dropout=True)
-        node = b.conv_act(f"enc{lvl}.conv1", node, c, c, dropout=True)
-        ch = c
-        if lvl < 4:
-            skips.append(node)
-    for lvl in range(3, -1, -1):
-        c = enc_channels[lvl]
-        node = b.tconv(f"dec{lvl}.up", node, ch, c)
-        node = b.act(f"dec{lvl}.up.act", node)
-        node = b.drop(f"dec{lvl}.up.drop", node)
-        node = b.concat(f"dec{lvl}.concat", skips[lvl], node)
-        node = b.conv_act(f"dec{lvl}.conv0", node, 2 * c, c, dropout=True)
-        node = b.conv_act(f"dec{lvl}.conv1", node, c, c, dropout=True)
-        ch = c
-    b.head(node, ch)
-    return b.network()
-
-
-_BUILDERS = {
-    "unet_original": build_unet_original,
-    "all_dropout": build_all_dropout,
-    "all_convolutional": build_all_convolutional,
-    "invertednet": build_invertednet,
-}
-
 
 def build_network(config: ArchConfig, dtype=np.float32) -> Network:
-    return _BUILDERS[config.arch](config, dtype)
+    """The five-level encoder/decoder of ``config.arch`` (see the module docstring).
+
+    The architecture fixes the channel schedule (doubling per level,
+    halving for invertednet), whether dropout follows each activation
+    (all but unet_original) and how a level subsamples into the next:
+    the U-Net family pools after level l as ``enc{l}.pool`` or
+    ``enc{l}.poolconv``; invertednet pools before level l as
+    ``enc{l}.pool`` and, past level 1, hands the stride 2 to
+    ``enc{l}.conv0``.  The decoder and head are the same for all four.
+    """
+    b = _Builder(config, dtype)
+    inverted = config.arch == "invertednet"
+    c0 = config.base_channels
+    channels = [c0 // 2**lvl if inverted else c0 * 2**lvl for lvl in range(5)]
+    skips = []
+    node, ch = -1, config.in_channels
+    for lvl, c in enumerate(channels):
+        stride = 1
+        if lvl > 0:  # subsample level lvl - 1 into level lvl
+            if inverted:
+                node = b.pool(f"enc{lvl}.pool", node, stride=2 if lvl == 1 else 1)
+                stride = 1 if lvl == 1 else 2
+            elif config.arch == "all_convolutional":
+                node = b.conv_act(f"enc{lvl - 1}.poolconv", node, ch, ch, stride=2)
+            else:
+                node = b.pool(f"enc{lvl - 1}.pool", node, stride=2)
+        node = b.conv_act(f"enc{lvl}.conv0", node, ch, c, stride=stride)
+        node = b.conv_act(f"enc{lvl}.conv1", node, c, c)
+        skips.append(node)
+        ch = c
+    for lvl in range(3, -1, -1):
+        c = channels[lvl]
+        node = b.act_drop(f"dec{lvl}.up", b.tconv(f"dec{lvl}.up", node, ch, c))
+        node = b.concat(f"dec{lvl}.concat", skips[lvl], node)
+        node = b.conv_act(f"dec{lvl}.conv0", node, 2 * c, c)
+        node = b.conv_act(f"dec{lvl}.conv1", node, c, c)
+        ch = c
+    b.head(node, ch)
+    return Network(config, b.steps)
 
 
 # -- parameter accounting ----------------------------------------------------------

@@ -44,16 +44,6 @@ def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int, int]
     return out, lead, total - lead
 
 
-def _pad_spatial(data: np.ndarray, top: int, bottom: int, left: int, right: int, fill: float = 0.0) -> np.ndarray:
-    """Constant padding of the last two axes of (N,C,H,W): allocate and copy,
-    without ``np.pad``'s per-call overhead (most of a small conv's time)."""
-    n, c, h, w = data.shape
-    shape = (n, c, h + top + bottom, w + left + right)
-    out = np.zeros(shape, data.dtype) if fill == 0 else np.full(shape, fill, data.dtype)
-    out[:, :, top : top + h, left : left + w] = data
-    return out
-
-
 def _im2col(
     cols: np.ndarray, band: np.ndarray, sample: np.ndarray, row0: int, stride: int, top: int, left: int
 ) -> np.ndarray:
@@ -187,14 +177,12 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return make_op(out, (x, weight, bias), backward, "transposed_conv2d")
 
 
-def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
+def maxpool2d(x: Tensor, stride: int = 2) -> Tensor:
     """2x2 max pooling; stride 1 keeps spatial dims (windows ignore padding).
 
     Gradient routes to the window maximum, first occurrence in row-major
     window order on ties.
     """
-    if size != 2:
-        raise ShapeError("maxpool2d: only 2x2 windows are supported")
     if stride not in (1, 2):
         raise ShapeError("maxpool2d: stride must be 1 or 2")
     if x.data.ndim != 4:
@@ -207,7 +195,8 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
         xp = x.data
     else:
         ho, wo = h, w
-        xp = _pad_spatial(x.data, 0, 1, 0, 1, fill=-np.inf)
+        xp = np.full((n, c, h + 1, w + 1), -np.inf, x.data.dtype)
+        xp[:, :, :h, :w] = x.data
 
     windows = np.stack(
         [xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] for i, j in _POOL_OFFSETS]

@@ -1,8 +1,8 @@
 """Adam with bias correction.
 
-Defaults follow the training protocol used throughout: fixed learning
-rate 1e-5, beta1 = 0.9, beta2 = 0.999, eps = 1e-8.  A non-finite
-gradient aborts the whole step before any parameter is touched.
+A fixed learning rate (1e-5 by default) with the constants beta1 = 0.9,
+beta2 = 0.999 and eps = 1e-8.  A non-finite gradient aborts the whole
+step before any parameter is touched.
 """
 
 from __future__ import annotations
@@ -15,20 +15,15 @@ from .errors import NumericError
 from .tensor import Tensor
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(
-        self,
-        params: Sequence[tuple[str, Tensor]],
-        lr: float = 1e-5,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[tuple[str, Tensor]], lr: float = 1e-5):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.params]
         self.v = [np.zeros_like(p.data) for _, p in self.params]
@@ -41,12 +36,12 @@ class Adam:
                 raise NumericError(f"non-finite gradient for {name!r}; optimizer step aborted")
             grads.append(g)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for i, (_, p) in enumerate(self.params):
             g = grads[i]
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.dtype)

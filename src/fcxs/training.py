@@ -123,8 +123,6 @@ def train(
     missing = [i for i in split.train + split.valid if i not in by_id]
     if missing:
         raise ConfigError(f"split references unknown sample ids: {missing[:5]}")
-    if not split.train:
-        raise ConfigError("training split is empty")
 
     encoding = loss_config.encoding
     gt_cache = {s.id: build_groundtruth(s, encoding) for s in samples}
@@ -189,9 +187,7 @@ def train(
 
     if checkpoint_dir is not None:
         save_checkpoint(net, checkpoint_dir / "last.fcxs")
-    _with_state(net, best_state)
-    if checkpoint_dir is not None:
-        save_checkpoint(net, checkpoint_dir / "best.fcxs")
+    net.load_state_arrays(dict(best_state))
     return net, history
 
 
@@ -215,8 +211,3 @@ def train_run(
         checkpoint_dir=checkpoint_dir,
     )
     return net, history, stats
-
-
-def _with_state(net: Network, state: list[tuple[str, np.ndarray]]) -> Network:
-    net.load_state_arrays(dict(state))
-    return net

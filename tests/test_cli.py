@@ -171,6 +171,16 @@ class TestTrainCommand:
     def test_missing_config_exit_code_2(self, capsys):
         assert main(["train", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_config_exit_code_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"data": "\xff"}')
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"cannot read config {path}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("width", [0, -16])
     def test_non_positive_width_exit_code_2(self, tmp_path, capsys, width):
         cfg = run_config(tmp_path, arch={"base_channels": width})
@@ -366,3 +376,21 @@ class TestSignificanceCommand:
         self.make_records(a, ["x", "y"], 0.0)
         self.make_records(b, ["x", "z"], 0.0)
         assert main(["significance", "--records", str(a), str(b)]) == 3
+
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,0.5\n", ":2: malformed", id="short_row"),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,high,0.5,1.0\n", ":2: malformed", id="non_numeric"),
+            pytest.param(b"", ": empty", id="empty"),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\n\xff\n", ":2: records are not UTF-8", id="not_utf8"),
+            pytest.param(None, "cannot read records", id="missing"),
+        ],
+    )
+    def test_malformed_records_exit_code_3(self, tmp_path, capsys, content, where):
+        path = tmp_path / "bad.csv"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["significance", "--records", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and where in err

@@ -163,6 +163,14 @@ class TestSplits:
         split = split_dataset(ids, fractions=(0.60, 0.07, 0.33), seed=1)
         assert (len(split.train), len(split.valid), len(split.test)) == (60, 7, 33)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 10])
+    @pytest.mark.parametrize("f_valid", [0.1, 0.34, 0.5])
+    def test_no_test_share_leaves_no_test_image(self, n, f_valid):
+        ids = [f"i{i}" for i in range(n)]
+        split = split_dataset(ids, fractions=(1.0 - f_valid, f_valid, 0.0), seed=3)
+        assert len(split.train) + len(split.valid) == n
+        assert split.test == []
+
     def test_disjoint_and_covering(self):
         ids = [f"i{i}" for i in range(57)]
         split = split_dataset(ids, seed=9)

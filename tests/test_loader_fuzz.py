@@ -1,10 +1,11 @@
-"""Seeded fuzz of the three file loaders: every corrupted file either
-loads or raises ``DataError``, never any other exception.
+"""Seeded fuzz of the file loaders (PGM, PNG, records CSV, checkpoint):
+every corrupted file either loads or raises ``DataError``, never any
+other exception.
 
 Corruptions are prefix truncations and single-byte XOR flips with 0x01,
-0x80 and 0xFF.  The image files are small enough to try every position;
-the checkpoint tries every byte of its 12-byte fixed header plus a
-seeded sample of JSON-header and payload positions.
+0x80 and 0xFF.  The image and records files are small enough to try
+every position; the checkpoint tries every byte of its 12-byte fixed
+header plus a seeded sample of JSON-header and payload positions.
 """
 
 import struct
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from fcxs.errors import DataError
+from fcxs.evaluation import EvalRecord, read_records, records_to_csv
 from fcxs.imageio import read_pgm, read_png, write_pgm, write_png
 from fcxs.models import ArchConfig, build_network, load_checkpoint, save_checkpoint
 
@@ -61,6 +63,20 @@ def test_image_every_truncation_and_flip(tmp_path, write, load, image):
     np.testing.assert_array_equal(arr, image)
     rejected = assert_loads_or_data_error(load, tmp_path / "variant", data, range(len(data)))
     assert rejected >= len(data)  # at least every truncation is rejected
+
+
+def test_records_every_truncation_and_flip(tmp_path):
+    records = [
+        EvalRecord("img0", "lungs", 0.912345, 0.838810, 1.25),
+        EvalRecord("img0", "clavicles", 0.5, 0.333333, float("nan")),
+        EvalRecord("img1", "heart", 0.0, 0.0, 12.5),
+    ]
+    source = tmp_path / "records.csv"
+    source.write_text(records_to_csv(records))
+    data = source.read_bytes()
+    assert records_to_csv(read_records(source)) == records_to_csv(records)
+    rejected = assert_loads_or_data_error(read_records, tmp_path / "variant.csv", data, range(len(data)))
+    assert rejected > 0
 
 
 def test_checkpoint_header_and_sampled_payload(tmp_path):

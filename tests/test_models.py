@@ -13,11 +13,7 @@ from fcxs.models import (
     ARCHITECTURES,
     HEADS,
     ArchConfig,
-    build_all_convolutional,
-    build_all_dropout,
-    build_invertednet,
     build_network,
-    build_unet_original,
     count_parameters,
     ensemble_predict,
     format_parameter_table,
@@ -34,18 +30,19 @@ REFERENCE_INVERTEDNET_PARAMS = 3_140_771
 POOL_REPLACEMENT_DELTA = 3_134_400
 
 
-# sha256 of the save_checkpoint bytes and of the format_parameter_table text
-# of each arch x head at 16^2 (base_channels 2; 16 for invertednet), so a
-# refactor of the layer code cannot silently change a checkpoint or ledger
+# sha256 of the save_checkpoint bytes, of the format_parameter_table text and
+# of the step program (step_program_digest) of each arch x head at 16^2
+# (base_channels 2; 16 for invertednet), so a refactor of the layer code
+# cannot silently change a checkpoint, a ledger or a parameterless step
 GOLDEN_DIGESTS = {
-    ("unet_original", "sigmoid"): ("e52a936e16b5d8350e441f919ebbced02b1daf9dc06e404d5935b25573012e9f", "7d1c316d1eec8426f113b91b41fff12af861bad9cd364cb69daa17d3a13396e1"),
-    ("unet_original", "softmax"): ("676548987c673819dd28e3a5909960d2b7d3c22504ab5ae3159a19afbad08230", "e17e8f511f632b62bc8039df1c3509828aa21be5be0b1ad7b4a646cf8177e0f2"),
-    ("all_dropout", "sigmoid"): ("6a6b87911691292e4567aaa2f5e62e689c6b5b8b77b757aafbcc8109f86f7dbd", "7d1c316d1eec8426f113b91b41fff12af861bad9cd364cb69daa17d3a13396e1"),
-    ("all_dropout", "softmax"): ("6d0f3a62b4271bf3b10e71de367c0d10757899a5448d0d3c1a10130efe199b9a", "e17e8f511f632b62bc8039df1c3509828aa21be5be0b1ad7b4a646cf8177e0f2"),
-    ("all_convolutional", "sigmoid"): ("9de43a333fb41b5b2ffd7bff86a06d3fa6d5585235993d07f3a96b7b70ad1e2b", "8ac3f364d2f1359785491b88e28c33af2afe220c74cb6155db75735be7373f9f"),
-    ("all_convolutional", "softmax"): ("94626b77dfb954cc5a59da650420a9d2fa74d5734e91941c7d84f06e8ebbac79", "15575dfc9d56293d564f1bf839800ae147e371eeed4f6000f7abfec783030b02"),
-    ("invertednet", "sigmoid"): ("74b69f8d324bb7edb678e504230a0a1abb4de26f5a5e0b9cb9ce43509dbb4561", "50b9db7d5db6af2d162b24d30db344950749b487ef2c392d5bb971ae64933bb9"),
-    ("invertednet", "softmax"): ("cfe12c1bdfc2236ee9494d06da2139f6f71c7966af47a28919b4e6bec0c4e632", "5719b341cb761174842f686761451db98dfe067216d7b7f3d98f8f18e83ed4b9"),
+    ("unet_original", "sigmoid"): ("e52a936e16b5d8350e441f919ebbced02b1daf9dc06e404d5935b25573012e9f", "7d1c316d1eec8426f113b91b41fff12af861bad9cd364cb69daa17d3a13396e1", "5e79c953b91f156e53a774643e7f9be2910ea5099b9a2bf560ad89bc191eb1e1"),
+    ("unet_original", "softmax"): ("676548987c673819dd28e3a5909960d2b7d3c22504ab5ae3159a19afbad08230", "e17e8f511f632b62bc8039df1c3509828aa21be5be0b1ad7b4a646cf8177e0f2", "5ba951fa1f11d64e7cf54f70c8cca2df76178439c7563707f27ef6fe0716cc42"),
+    ("all_dropout", "sigmoid"): ("6a6b87911691292e4567aaa2f5e62e689c6b5b8b77b757aafbcc8109f86f7dbd", "7d1c316d1eec8426f113b91b41fff12af861bad9cd364cb69daa17d3a13396e1", "4138ef0f82feb4594f3efcf0cc8caf8393dc0b057cf73c77190741f739aa37eb"),
+    ("all_dropout", "softmax"): ("6d0f3a62b4271bf3b10e71de367c0d10757899a5448d0d3c1a10130efe199b9a", "e17e8f511f632b62bc8039df1c3509828aa21be5be0b1ad7b4a646cf8177e0f2", "9995d80de1515ae24d1981fc30bcae8152fa791bd87bce80e68bdef36b763d71"),
+    ("all_convolutional", "sigmoid"): ("9de43a333fb41b5b2ffd7bff86a06d3fa6d5585235993d07f3a96b7b70ad1e2b", "8ac3f364d2f1359785491b88e28c33af2afe220c74cb6155db75735be7373f9f", "f8a9eb44c3fd5b4917c4493a01fa2bd0bbce8e8bb74bd9f8a35765c742c76835"),
+    ("all_convolutional", "softmax"): ("94626b77dfb954cc5a59da650420a9d2fa74d5734e91941c7d84f06e8ebbac79", "15575dfc9d56293d564f1bf839800ae147e371eeed4f6000f7abfec783030b02", "8a77298f66ebe0460787eb31db240ac13a60f0de68299741722fd037b44a26f7"),
+    ("invertednet", "sigmoid"): ("74b69f8d324bb7edb678e504230a0a1abb4de26f5a5e0b9cb9ce43509dbb4561", "50b9db7d5db6af2d162b24d30db344950749b487ef2c392d5bb971ae64933bb9", "87cbab337ac106023e1791c9c68615e773bcf38044428fe6761a4debbf242b83"),
+    ("invertednet", "softmax"): ("cfe12c1bdfc2236ee9494d06da2139f6f71c7966af47a28919b4e6bec0c4e632", "5719b341cb761174842f686761451db98dfe067216d7b7f3d98f8f18e83ed4b9", "97b65c854b0bc2788e435a74e0e9c842b7b954a42bc41454f5291ad4c2ce4531"),
 }
 
 
@@ -88,6 +85,12 @@ def invertednet_specs(base, classes):
 
 def total(specs):
     return sum(conv_params(*s) for s in specs)
+
+
+def step_program_digest(net):
+    """sha256 over every step's (name, kind, text, inputs), in program order."""
+    program = [[s.name, s.layer.kind, s.layer.text, list(s.inputs)] for s in net.steps]
+    return hashlib.sha256(json.dumps(program).encode("utf-8")).hexdigest()
 
 
 def small_config(arch, **kw):
@@ -145,7 +148,7 @@ class TestArchConfig:
 class TestParameterCounts:
     def test_unet_original_reconstruction_count(self):
         cfg = ArchConfig(arch="unet_original", input_resolution=256, head="softmax")
-        net = build_unet_original(cfg)
+        net = build_network(cfg)
         n = count_parameters(net)
         assert n == 31_030_788
         assert n == total(unet_family_specs(64, 4, conv_pool=False))
@@ -155,15 +158,15 @@ class TestParameterCounts:
     def test_all_dropout_count_equals_unet_original(self):
         cfg = ArchConfig(arch="all_dropout", input_resolution=256, head="softmax")
         cfg_u = ArchConfig(arch="unet_original", input_resolution=256, head="softmax")
-        assert count_parameters(build_all_dropout(cfg)) == count_parameters(
-            build_unet_original(cfg_u)
+        assert count_parameters(build_network(cfg)) == count_parameters(
+            build_network(cfg_u)
         )
 
     def test_pool_replacement_adds_exact_delta(self):
         cfg_d = ArchConfig(arch="all_dropout", input_resolution=256, head="softmax")
         cfg_c = ArchConfig(arch="all_convolutional", input_resolution=256, head="softmax")
-        delta = count_parameters(build_all_convolutional(cfg_c)) - count_parameters(
-            build_all_dropout(cfg_d)
+        delta = count_parameters(build_network(cfg_c)) - count_parameters(
+            build_network(cfg_d)
         )
         assert delta == POOL_REPLACEMENT_DELTA
         assert delta == sum(9 * c * c + c for c in (64, 128, 256, 512))
@@ -171,22 +174,22 @@ class TestParameterCounts:
     def test_invertednet_count_and_ratio(self):
         cfg_i = ArchConfig(arch="invertednet", input_resolution=256, head="softmax")
         cfg_d = ArchConfig(arch="all_dropout", input_resolution=256, head="softmax")
-        n_inv = count_parameters(build_invertednet(cfg_i))
-        n_drop = count_parameters(build_all_dropout(cfg_d))
+        n_inv = count_parameters(build_network(cfg_i))
+        n_drop = count_parameters(build_network(cfg_d))
         assert n_inv == total(invertednet_specs(256, 4))
         ratio = n_drop / n_inv
         assert 8.0 <= ratio <= 12.0
 
     def test_single_conv_count(self):
         cfg = small_config("unet_original")
-        net = build_unet_original(cfg)
+        net = build_network(cfg)
         name, _, _, count = parameter_table(net)[0]
         assert name == "enc0.conv0"
         assert count == 9 * 1 * 4 + 4
 
     def test_parameter_table_total_matches(self):
         cfg = small_config("invertednet")
-        net = build_invertednet(cfg)
+        net = build_network(cfg)
         rows = parameter_table(net)
         assert sum(r[3] for r in rows) == count_parameters(net)
         text = format_parameter_table(net)
@@ -204,13 +207,13 @@ class TestShapes:
 
     def test_256_softmax_shape(self):
         cfg = ArchConfig(arch="unet_original", input_resolution=256, head="softmax", base_channels=2)
-        net = build_unet_original(cfg)
+        net = build_network(cfg)
         out = net.forward(np.zeros((1, 1, 256, 256), dtype=np.float32))
         assert out.shape == (1, 4, 256, 256)
 
     def test_bottleneck_is_sixteenth_resolution(self):
         cfg = small_config("unet_original", input_resolution=64)
-        net = build_unet_original(cfg)
+        net = build_network(cfg)
         trace = []
         net.forward(np.zeros((1, 1, 64, 64), dtype=np.float32), trace=trace)
         shapes = dict(trace)
@@ -218,7 +221,7 @@ class TestShapes:
 
     def test_invertednet_first_level_is_widest_at_full_resolution(self):
         cfg = small_config("invertednet", input_resolution=32, base_channels=32)
-        net = build_invertednet(cfg)
+        net = build_network(cfg)
         trace = []
         net.forward(np.zeros((1, 1, 32, 32), dtype=np.float32), trace=trace)
         shapes = dict(trace)
@@ -228,10 +231,10 @@ class TestShapes:
     def test_all_convolutional_shapes_match_all_dropout(self):
         kw = dict(input_resolution=32, head="sigmoid", base_channels=4)
         t_drop, t_conv = [], []
-        build_all_dropout(ArchConfig(arch="all_dropout", **kw)).forward(
+        build_network(ArchConfig(arch="all_dropout", **kw)).forward(
             np.zeros((1, 1, 32, 32), dtype=np.float32), trace=t_drop
         )
-        build_all_convolutional(ArchConfig(arch="all_convolutional", **kw)).forward(
+        build_network(ArchConfig(arch="all_convolutional", **kw)).forward(
             np.zeros((1, 1, 32, 32), dtype=np.float32), trace=t_conv
         )
         drop_shapes = dict(t_drop)
@@ -250,7 +253,7 @@ class TestShapes:
 class TestForwardSemantics:
     def test_zero_weight_sigmoid_head_gives_half(self):
         cfg = small_config("unet_original")
-        net = build_unet_original(cfg)
+        net = build_network(cfg)
         for _, p in net.parameters():
             p.data[...] = 0.0
         out = net.forward(np.ones((1, 1, 16, 16), dtype=np.float32))
@@ -258,7 +261,7 @@ class TestForwardSemantics:
 
     def test_zero_weight_softmax_head_gives_quarter(self):
         cfg = small_config("unet_original", head="softmax")
-        net = build_unet_original(cfg)
+        net = build_network(cfg)
         for _, p in net.parameters():
             p.data[...] = 0.0
         out = net.forward(np.ones((1, 1, 16, 16), dtype=np.float32))
@@ -281,8 +284,8 @@ class TestForwardSemantics:
 
     def test_all_dropout_infer_equals_unet_original(self):
         kw = dict(input_resolution=16, head="sigmoid", base_channels=4, init_seed=3)
-        net_d = build_all_dropout(ArchConfig(arch="all_dropout", **kw))
-        net_u = build_unet_original(ArchConfig(arch="unet_original", **kw))
+        net_d = build_network(ArchConfig(arch="all_dropout", **kw))
+        net_u = build_network(ArchConfig(arch="unet_original", **kw))
         for (na, pa), (nb, pb) in zip(net_u.parameters(), net_d.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
         x = Rng(2).normal((1, 1, 16, 16))
@@ -418,6 +421,7 @@ class TestCheckpoints:
         digests = (
             hashlib.sha256(path.read_bytes()).hexdigest(),
             hashlib.sha256(format_parameter_table(net).encode("utf-8")).hexdigest(),
+            step_program_digest(net),
         )
         assert digests == GOLDEN_DIGESTS[(arch, head)]
         loaded = load_checkpoint(path)

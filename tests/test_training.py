@@ -122,8 +122,8 @@ class TestTrainLoop:
             )
 
     def test_empty_train_split_rejected(self, tiny_dataset):
-        split = DatasetSplit([], [], [s.id for s in tiny_dataset], 0, "manual")
         with pytest.raises(ConfigError):
+            split = DatasetSplit([], [], [s.id for s in tiny_dataset], 0, "manual")
             train(tiny_net(), tiny_dataset, split, LossConfig("dice"), epochs=1)
 
     def test_unknown_ids_rejected(self, tiny_dataset):
