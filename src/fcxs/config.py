@@ -3,10 +3,12 @@ loss, training, and evaluation.
 
 Validation is strict (unknown keys and values of the wrong JSON type are
 rejected) and total: every problem in the document is collected and
-reported in one error.  The loss alone sets the ground-truth encoding.
-The fully resolved configuration (defaults filled in) is echoed to
-``config.resolved.json`` in the output directory, and feeding that file
-back reproduces the run.
+reported in one error.  The per-run rules live in ``RunConfig.validate``,
+which ``training.train`` calls too, so a config built in code meets
+them before its first epoch.  The loss alone sets the ground-truth
+encoding.  The fully resolved configuration (defaults filled in) is
+echoed to ``config.resolved.json`` in the output directory, and feeding
+that file back reproduces the run.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from .data import SPLIT_PRESETS
 from .errors import ConfigError
-from .losses import LossConfig, head_for
+from .losses import LossConfig
 from .models import ArchConfig
 
 
@@ -37,17 +39,11 @@ class DataConfig:
 
 @dataclass
 class ArchSection:
-    arch: str = "invertednet"
-    activation: str = "elu"
-    drop_probability: float = 0.1
-    base_channels: Optional[int] = None
-    init_seed: int = 0
-
-
-@dataclass
-class LossSection:
-    distance: str = "dice"
-    weighted: bool = True
+    arch: str = ArchConfig.arch
+    activation: str = ArchConfig.activation
+    drop_probability: float = ArchConfig.drop_probability
+    base_channels: Optional[int] = ArchConfig.base_channels
+    init_seed: int = ArchConfig.init_seed
 
 
 @dataclass
@@ -82,29 +78,64 @@ class OutputSection:
     directory: str = "runs/out"
 
 
+# ArchConfig fields that a run config sets from outside the arch section
+_ARCH_KEYS = {"input_resolution": "data.resolution"}
+
+
 @dataclass
 class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     arch: ArchSection = field(default_factory=ArchSection)
-    loss: LossSection = field(default_factory=LossSection)
+    loss: LossConfig = field(default_factory=LossConfig)
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
     output: OutputSection = field(default_factory=OutputSection)
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(self.loss.distance, weighted=self.loss.weighted)
 
     def arch_config(self) -> ArchConfig:
         """The network this run trains; the loss picks its head."""
         return ArchConfig(
             arch=self.arch.arch,
             input_resolution=self.data.resolution,
-            head=head_for(self.loss.distance),
+            head=self.loss.head,
             activation=self.arch.activation,
             drop_probability=self.arch.drop_probability,
             base_channels=self.arch.base_channels,
             init_seed=self.arch.init_seed,
         )
+
+    def validate(self, errors: Sequence[str] = ()) -> None:
+        """Raise one ConfigError listing ``errors`` and every per-run rule
+        this config breaks, each as a ``key: reason`` line.
+
+        The architecture rules live in ``ArchConfig``; their problems are
+        reported under the run-config keys that set them.
+        """
+        errors = list(errors)
+        try:
+            self.arch_config()
+        except ConfigError as exc:
+            for line in str(exc).splitlines():
+                key, _, reason = line.partition(": ")
+                errors.append(f"{_ARCH_KEYS.get(key, f'arch.{key}')}: {reason}")
+        data, tr = self.data, self.train
+        if data.synthetic is not None and data.synthetic.n < 1:
+            errors.append(f"data.synthetic.n: must be >= 1, got {data.synthetic.n}")
+        if tr.epochs < 1:
+            errors.append(f"train.epochs: must be >= 1, got {tr.epochs}")
+        if tr.batch_size < 1:
+            errors.append(f"train.batch_size: must be >= 1, got {tr.batch_size}")
+        if tr.split.scheme not in ("fractions", "threefold"):
+            errors.append(f"train.split.scheme: {tr.split.scheme!r} not one of ('fractions', 'threefold')")
+        if tr.split.preset not in SPLIT_PRESETS:
+            errors.append(f"train.split.preset: {tr.split.preset!r} not one of {sorted(SPLIT_PRESETS)}")
+        if tr.split.scheme == "threefold" and tr.split.fold not in (0, 1, 2):
+            errors.append(f"train.split.fold: threefold needs fold in (0, 1, 2), got {tr.split.fold}")
+        if not 0.0 < self.eval.epsilon < 1.0:
+            errors.append(f"eval.epsilon: must be in (0, 1), got {self.eval.epsilon}")
+        if self.eval.spacing <= 0:
+            errors.append(f"eval.spacing: must be positive, got {self.eval.spacing}")
+        if errors:
+            raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -120,14 +151,13 @@ _JSON_TYPES = {
     bool: "boolean", int: "integer", float: "number", str: "string", list: "array", dict: "object", type(None): "null"
 }
 
-# ArchConfig fields that a run config sets from outside the arch section
-_ARCH_KEYS = {"input_resolution": "data.resolution"}
-
 
 def _build(cls, payload: dict, where: str, errors: list[str]):
     """``cls`` from a JSON object, each key and value type checked against
     the dataclass fields; problems go to ``errors`` and their keys keep
     the defaults.  An int fits a float field; a bool fits only a bool field.
+    A section that checks itself (``LossConfig``) reports its own
+    ``field: reason`` lines under the section's key and keeps its defaults.
     """
     hints = get_type_hints(cls)
     kwargs = {}
@@ -147,52 +177,26 @@ def _build(cls, payload: dict, where: str, errors: list[str]):
         else:
             wanted = _JSON_TYPES.get(expected, "object") + (" or null" if optional else "")
             errors.append(f"{name}: expected {wanted}, got {_JSON_TYPES.get(type(value), type(value).__name__)}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        errors.extend(f"{where}.{line}" for line in str(exc).splitlines())
+        return cls()
 
 
 def parse_run_config(payload: dict) -> RunConfig:
-    """Validate a config document; all problems are reported together.
-
-    The architecture and loss rules live in ``ArchConfig`` and
-    ``LossConfig``; their problems are reported under the run-config
-    keys that set them.
-    """
+    """Validate a config document; all problems are reported together:
+    wrong keys and types, the data source, and ``RunConfig.validate``'s
+    per-run rules."""
     errors: list[str] = []
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _build(RunConfig, payload, "", errors)
-
-    for section, build in (("loss", cfg.loss_config), ("arch", cfg.arch_config)):
-        try:
-            build()
-        except ConfigError as exc:
-            for line in str(exc).splitlines():
-                key, _, reason = line.partition(": ")
-                errors.append(f"{_ARCH_KEYS.get(key, f'{section}.{key}')}: {reason}")
-    data, tr = cfg.data, cfg.train
-    if data.root is None and data.synthetic is None:
+    if cfg.data.root is None and cfg.data.synthetic is None:
         errors.append("data: either data.root or data.synthetic is required")
-    if data.root is not None and data.synthetic is not None:
+    if cfg.data.root is not None and cfg.data.synthetic is not None:
         errors.append("data: data.root and data.synthetic are mutually exclusive")
-    if data.synthetic is not None and data.synthetic.n < 1:
-        errors.append(f"data.synthetic.n: must be >= 1, got {data.synthetic.n}")
-    if tr.epochs < 1:
-        errors.append(f"train.epochs: must be >= 1, got {tr.epochs}")
-    if tr.batch_size < 1:
-        errors.append(f"train.batch_size: must be >= 1, got {tr.batch_size}")
-    if tr.split.scheme not in ("fractions", "threefold"):
-        errors.append(f"train.split.scheme: {tr.split.scheme!r} not one of ('fractions', 'threefold')")
-    if tr.split.preset not in SPLIT_PRESETS:
-        errors.append(f"train.split.preset: {tr.split.preset!r} not one of {sorted(SPLIT_PRESETS)}")
-    if tr.split.scheme == "threefold" and tr.split.fold not in (0, 1, 2):
-        errors.append(f"train.split.fold: threefold needs fold in (0, 1, 2), got {tr.split.fold}")
-    if not 0.0 < cfg.eval.epsilon < 1.0:
-        errors.append(f"eval.epsilon: must be in (0, 1), got {cfg.eval.epsilon}")
-    if cfg.eval.spacing <= 0:
-        errors.append(f"eval.spacing: must be positive, got {cfg.eval.spacing}")
-
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    cfg.validate(errors)
     return cfg
 
 

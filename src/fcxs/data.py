@@ -154,17 +154,9 @@ class DatasetSplit:
             "scheme": self.scheme,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSplit":
-        return cls(list(d["train"]), list(d["valid"]), list(d["test"]), int(d["seed"]), str(d["scheme"]))
-
 
 def save_split(split: DatasetSplit, path) -> None:
     Path(path).write_text(json.dumps(split.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_split(path) -> DatasetSplit:
-    return DatasetSplit.from_dict(json.loads(Path(path).read_text()))
 
 
 def split_dataset(
@@ -304,18 +296,24 @@ def synth_generate(n: int, resolution: int, seed: int) -> list[Sample]:
 # -- on-disk datasets ---------------------------------------------------------------
 
 
-def _downsample_image(image: np.ndarray, factor: int) -> np.ndarray:
-    h, w = image.shape
-    return image.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
-
-
-def _load_mask(path, resolution: int) -> np.ndarray:
+def _read_unit(path, resolution: int, what: str) -> np.ndarray:
+    """The gray file at ``path`` scaled to [0, 1]; a file that is not square
+    or not an integer multiple of ``resolution`` in size is a DataError
+    naming ``what``."""
     arr, maxval = read_gray(path)
-    binary = (arr.astype(np.float64) >= 0.5 * maxval).astype(np.float64)
-    factor = arr.shape[0] // resolution
-    if factor > 1:
-        binary = _downsample_image(binary, factor)
-    return (binary >= 0.5).astype(np.uint8)
+    if arr.shape[0] != arr.shape[1]:
+        raise DataError(f"{what} is not square ({arr.shape})")
+    if arr.shape[0] % resolution != 0:
+        raise DataError(f"{what} size {arr.shape[0]} is not an integer multiple of {resolution}")
+    return arr.astype(np.float64) / maxval
+
+
+def _downsample(image: np.ndarray, resolution: int) -> np.ndarray:
+    """Block means down to ``resolution`` x ``resolution``."""
+    factor = image.shape[0] // resolution
+    if factor == 1:
+        return image
+    return image.reshape(resolution, factor, resolution, factor).mean(axis=(1, 3))
 
 
 def load_dataset(root, resolution: int) -> list[Sample]:
@@ -338,27 +336,16 @@ def load_dataset(root, resolution: int) -> list[Sample]:
     for path in image_paths:
         sample_id = path.stem
         try:
-            arr, maxval = read_gray(path)
-            if arr.shape[0] != arr.shape[1]:
-                raise DataError(f"{sample_id}: image is not square ({arr.shape})")
-            if arr.shape[0] % resolution != 0:
-                raise DataError(
-                    f"{sample_id}: size {arr.shape[0]} is not an integer multiple of {resolution}"
-                )
-            image = arr.astype(np.float64) / maxval
-            factor = arr.shape[0] // resolution
-            if factor > 1:
-                image = _downsample_image(image, factor)
+            image = _downsample(_read_unit(path, resolution, f"{sample_id}: image"), resolution)
             masks = []
             for cls in CLASS_NAMES:
                 candidates = [mask_dir / f"{sample_id}_{cls}{ext}" for ext in (".pgm", ".png")]
                 found = next((c for c in candidates if c.exists()), None)
                 if found is None:
                     raise DataError(f"{sample_id}: missing mask {cls!r}")
-                mask = _load_mask(found, resolution)
-                if mask.shape != image.shape:
-                    raise DataError(f"{sample_id}: mask {cls!r} shape {mask.shape} != image")
-                masks.append(mask)
+                # binarize at half range, then keep the blocks at least half covered
+                binary = _read_unit(found, resolution, f"{sample_id}: mask {cls!r}") >= 0.5
+                masks.append((_downsample(binary.astype(np.float64), resolution) >= 0.5).astype(np.uint8))
             samples.append(Sample(sample_id, image[None].astype(np.float32), np.stack(masks)))
         except DataError as exc:
             problems.append(str(exc))

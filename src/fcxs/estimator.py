@@ -17,10 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ArchSection, DataConfig, EvalSection, LossSection, RunConfig, TrainSection
+from .config import ArchSection, DataConfig, EvalSection, RunConfig, TrainSection
 from .data import CLASS_NAMES, DatasetSplit, NormStats, Sample, normalize_image, split_dataset
 from .errors import ConfigError, DataError
 from .evaluation import evaluate
+from .losses import LossConfig
 from .models import ensemble_predict, organ_probabilities
 from .training import train_run
 
@@ -65,28 +66,30 @@ def _samples(X: np.ndarray, y) -> list[Sample]:
 class FCNSegmenter:
     """Multi-class organ segmentation with one of the four architectures.
 
-    Parameters mirror the run configuration: ``arch`` picks the
-    topology, ``loss`` the distance ('dice' pairs with a sigmoid head,
-    'cross_entropy' with softmax), ``weighted`` toggles inverse
-    class-frequency weights, and ``valid_fraction`` carves a monitoring
-    split off the training data (0 monitors on the training images).
+    Parameters mirror the run configuration and share its defaults:
+    ``arch`` picks the topology, ``loss`` the distance ('dice' pairs with
+    a sigmoid head, 'cross_entropy' with softmax), ``weighted`` toggles
+    inverse class-frequency weights, and ``valid_fraction`` carves a
+    monitoring split off the training data (0 monitors on the training
+    images).  ``fit`` checks them against the run config's rules before
+    the first epoch.
     """
 
     def __init__(
         self,
-        arch: str = "invertednet",
-        loss: str = "dice",
-        weighted: bool = True,
-        activation: str = "elu",
-        drop_probability: float = 0.1,
-        base_channels: Optional[int] = None,
-        epochs: int = 100,
-        batch_size: int = 2,
-        lr: float = 1e-5,
-        patience: int = 50,
+        arch: str = ArchSection.arch,
+        loss: str = LossConfig.distance,
+        weighted: bool = LossConfig.weighted,
+        activation: str = ArchSection.activation,
+        drop_probability: float = ArchSection.drop_probability,
+        base_channels: Optional[int] = ArchSection.base_channels,
+        epochs: int = TrainSection.epochs,
+        batch_size: int = TrainSection.batch_size,
+        lr: float = TrainSection.lr,
+        patience: int = TrainSection.patience,
         valid_fraction: float = 0.0,
-        epsilon: float = 0.25,
-        seed: int = 0,
+        epsilon: float = EvalSection.epsilon,
+        seed: int = TrainSection.seed,
     ):
         self.arch = arch
         self.loss = loss
@@ -148,7 +151,7 @@ class FCNSegmenter:
         cfg = RunConfig(
             data=DataConfig(resolution=X.shape[2]),
             arch=ArchSection(self.arch, self.activation, self.drop_probability, self.base_channels, self.seed),
-            loss=LossSection(self.loss, self.weighted),
+            loss=LossConfig(self.loss, self.weighted),
             train=TrainSection(self.epochs, self.batch_size, self.lr, self.patience, self.seed),
             eval=EvalSection(epsilon=self.epsilon),
         )

@@ -135,22 +135,31 @@ def records_to_csv(records: Sequence[EvalRecord]) -> str:
 
 
 def records_from_csv(text: str, source: str = "records") -> list[EvalRecord]:
-    """Parse ``records_to_csv`` text; a malformed line is a DataError naming ``source`` and the line."""
+    """Parse ``records_to_csv`` text; a malformed line is a DataError naming ``source`` and the line.
+
+    Dice and Jaccard must lie in [0, 1], and a surface distance is either
+    ``NA`` or a finite number >= 0; a file with no record is a DataError.
+    """
     rows = [(number, ln) for number, ln in enumerate(text.split("\n"), start=1) if ln]
     if not rows:
         raise DataError(f"{source}: empty record CSV")
     number, header = rows[0]
     if header != _RECORD_HEADER:
         raise DataError(f"{source}:{number}: unexpected record CSV header: {header!r}")
+    if len(rows) == 1:
+        raise DataError(f"{source}: no records after the header")
     records = []
     for number, ln in rows[1:]:
         try:
             image_id, cls, d, j, sd = ln.split(",")
-            records.append(
-                EvalRecord(image_id, cls, float(d), float(j), float("nan") if sd == "NA" else float(sd))
-            )
+            record = EvalRecord(image_id, cls, float(d), float(j), float("nan") if sd == "NA" else float(sd))
+            if not (0.0 <= record.dice <= 1.0 and 0.0 <= record.jaccard <= 1.0):
+                raise ValueError("dice and jaccard must lie in [0, 1]")
+            if sd != "NA" and not 0.0 <= record.surface_distance < math.inf:
+                raise ValueError("surface distance must be NA or a finite number >= 0")
         except ValueError as exc:
             raise DataError(f"{source}:{number}: malformed record {ln!r} ({exc})") from exc
+        records.append(record)
     return records
 
 

@@ -37,11 +37,6 @@ PROB_CLAMP = 1e-7
 DISTANCES = ("cross_entropy", "dice")
 
 
-def head_for(distance: str) -> str:
-    """The output head a distance trains: softmax for cross entropy, sigmoid otherwise."""
-    return "softmax" if distance == "cross_entropy" else "sigmoid"
-
-
 @dataclass(frozen=True)
 class LossConfig:
     """Distance choice plus whether inverse class-frequency weights apply."""
@@ -55,7 +50,7 @@ class LossConfig:
 
     @property
     def head(self) -> str:
-        return head_for(self.distance)
+        return "softmax" if self.distance == "cross_entropy" else "sigmoid"
 
     @property
     def encoding(self) -> str:
@@ -68,15 +63,8 @@ class LossConfig:
                 f"but the architecture uses {arch_config.head!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {"distance": self.distance, "weighted": self.weighted}
 
-
-def _as_channel_stack(ground_truths) -> np.ndarray:
-    if isinstance(ground_truths, np.ndarray):
-        chi = ground_truths
-    else:
-        chi = np.stack([gt.channels for gt in ground_truths])
+def _as_channel_stack(chi: np.ndarray) -> np.ndarray:
     if chi.ndim != 4:
         raise ShapeError(f"expected stacked ground truth (N,L,H,W), got shape {chi.shape}")
     return chi

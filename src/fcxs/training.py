@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig
 from .data import DatasetSplit, GroundTruth, NormStats, Sample, build_groundtruth, normalize_by_train_split
 from .errors import ConfigError, NumericError
-from .losses import LossConfig, class_weights, segmentation_loss
+from .losses import class_weights, segmentation_loss
 from .metrics import dice, jaccard_from_dice
 from .models import Network, build_network, ensemble_predict, save_checkpoint
 from .optim import Adam
@@ -97,28 +97,22 @@ def train(
     net: Network,
     samples: Sequence[Sample],
     split: DatasetSplit,
-    loss_config: LossConfig,
-    epochs: int,
-    batch_size: int = 2,
-    lr: float = 1e-5,
-    seed: int = 0,
-    patience: int = 50,
-    epsilon: float = 0.25,
-    target_j: Optional[float] = None,
+    cfg: RunConfig,
     checkpoint_dir=None,
+    target_j: Optional[float] = None,
 ) -> tuple[Network, TrainHistory]:
-    """Optimize ``net`` on the (already normalized) train split.
+    """Optimize ``net`` on the (already normalized) train split under
+    ``cfg``'s loss, ``train`` section and ``eval.epsilon``.
 
-    Returns the network loaded with its best monitored weights plus the
-    full epoch history.  Divergence (non-finite loss or gradients)
-    aborts the run; the history carries a ``diverged`` flag and the best
-    weights seen so far are kept.
+    ``cfg`` is validated first, so a broken rule fails before the first
+    epoch.  Returns the network loaded with its best monitored weights
+    plus the full epoch history.  Divergence (non-finite loss or
+    gradients) aborts the run; the history carries a ``diverged`` flag
+    and the best weights seen so far are kept.
     """
+    cfg.validate()
+    loss_config, tr = cfg.loss, cfg.train
     loss_config.validate_pairing(net.config)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     by_id = {s.id: s for s in samples}
     missing = [i for i in split.train + split.valid if i not in by_id]
     if missing:
@@ -131,25 +125,25 @@ def train(
     monitor_samples = [by_id[i] for i in monitor_ids]
     monitor_gts = [gt_cache[i] for i in monitor_ids]
 
-    optimizer = Adam(net.parameters(), lr=lr)
+    optimizer = Adam(net.parameters(), lr=tr.lr)
     history = TrainHistory(monitored_split="valid" if split.valid else "train")
     best_state = [(name, p.data.copy()) for name, p in net.parameters()]
     stale = 0
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
 
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, tr.epochs + 1):
         started = time.perf_counter()
-        perm = Rng(seed).child(epoch).permutation(len(train_ids))
+        perm = Rng(tr.seed).child(epoch).permutation(len(train_ids))
         order = [train_ids[i] for i in perm]
         batch_losses = []
         try:
-            for b_idx in range(0, len(order), batch_size):
-                batch_ids = order[b_idx : b_idx + batch_size]
+            for b_idx in range(0, len(order), tr.batch_size):
+                batch_ids = order[b_idx : b_idx + tr.batch_size]
                 x, chi = pack_batch(
                     [by_id[i] for i in batch_ids], [gt_cache[i] for i in batch_ids]
                 )
                 weights = 1.0 / class_weights(chi) if loss_config.weighted else None
-                out = net.forward(x, mode="train", rng=Rng(seed).child(epoch, b_idx))
+                out = net.forward(x, mode="train", rng=Rng(tr.seed).child(epoch, b_idx))
                 loss = segmentation_loss(out, chi, loss_config, weights=weights)
                 net.zero_grad()
                 loss.backward()
@@ -158,7 +152,7 @@ def train(
         except NumericError:
             history.diverged = True
 
-        val_j = validation_jaccard(net, monitor_samples, monitor_gts, epsilon=epsilon)
+        val_j = validation_jaccard(net, monitor_samples, monitor_gts, epsilon=cfg.eval.epsilon)
         record = EpochRecord(
             epoch=epoch,
             loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),
@@ -182,7 +176,7 @@ def train(
             break
         if target_j is not None and mean_j >= target_j:
             break
-        if stale >= patience:
+        if stale >= tr.patience:
             break
 
     if checkpoint_dir is not None:
@@ -197,17 +191,5 @@ def train_run(
     """The run protocol: normalize every sample by the ``split.train``
     statistics, build the configured network and train it."""
     normed, stats = normalize_by_train_split(samples, split)
-    net, history = train(
-        build_network(cfg.arch_config()),
-        normed,
-        split,
-        cfg.loss_config(),
-        epochs=cfg.train.epochs,
-        batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr,
-        seed=cfg.train.seed,
-        patience=cfg.train.patience,
-        epsilon=cfg.eval.epsilon,
-        checkpoint_dir=checkpoint_dir,
-    )
+    net, history = train(build_network(cfg.arch_config()), normed, split, cfg, checkpoint_dir)
     return net, history, stats

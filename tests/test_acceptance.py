@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fcxs.cli import main
+from fcxs.config import RunConfig, TrainSection
 from fcxs.data import (
     DatasetSplit,
     compute_norm_stats,
@@ -208,12 +209,10 @@ def test_c05_overfit_capability(arch, overfit_data):
         net,
         normed,
         split,
-        LossConfig("dice", weighted=True),
-        epochs=500,
-        batch_size=2,
-        lr=lr,
-        seed=0,
-        patience=500,
+        RunConfig(
+            loss=LossConfig("dice", weighted=True),
+            train=TrainSection(epochs=500, batch_size=2, lr=lr, seed=0, patience=500),
+        ),
         target_j=0.92,
     )
     elapsed = time.perf_counter() - started
@@ -254,12 +253,10 @@ def test_c06_imbalance_weighting_property():
                 net,
                 normed,
                 split,
-                LossConfig("dice", weighted=weighted),
-                epochs=50,
-                batch_size=2,
-                lr=1e-3,
-                seed=seed,
-                patience=100,
+                RunConfig(
+                    loss=LossConfig("dice", weighted=weighted),
+                    train=TrainSection(epochs=50, batch_size=2, lr=1e-3, seed=seed, patience=100),
+                ),
             )
             best = max(hist.records, key=lambda r: float(np.mean(r.val_jaccard)))
             minority[weighted].append(best.val_jaccard[1])
@@ -295,12 +292,10 @@ def test_c07_elu_vs_relu_smoke():
                 net,
                 normed,
                 split,
-                LossConfig("dice", weighted=True),
-                epochs=budget,
-                batch_size=2,
-                lr=1e-3,
-                seed=seed,
-                patience=budget + 1,
+                RunConfig(
+                    loss=LossConfig("dice", weighted=True),
+                    train=TrainSection(epochs=budget, batch_size=2, lr=1e-3, seed=seed, patience=budget + 1),
+                ),
                 target_j=0.8,
             )
             reached = hist.best_mean_jaccard >= 0.8

@@ -36,7 +36,7 @@ class TestConfigParsing:
         path = run_config(tmp_path)
         cfg = load_run_config(path)
         assert cfg.train.patience == 50
-        assert cfg.loss_config().encoding == "dice"
+        assert cfg.loss.encoding == "dice"
 
     def test_unknown_keys_rejected_all_at_once(self):
         with pytest.raises(ConfigError) as exc:
@@ -81,6 +81,78 @@ class TestConfigParsing:
         name = f"{section}.{key}" if key != "synthetic" else "data.synthetic.n"
         assert f"{name}: expected" in err
         assert not (tmp_path / "out" / "history.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, change, line",
+        [
+            ("train", {"epochs": 0}, "train.epochs: must be >= 1, got 0"),
+            ("train", {"batch_size": 0}, "train.batch_size: must be >= 1, got 0"),
+            (
+                "train",
+                {"split": {"scheme": "kfold"}},
+                "train.split.scheme: 'kfold' not one of ('fractions', 'threefold')",
+            ),
+            (
+                "train",
+                {"split": {"preset": "80/10/10"}},
+                "train.split.preset: '80/10/10' not one of ['45/22/33', '50/17/33', '60/7/33']",
+            ),
+            (
+                "train",
+                {"split": {"scheme": "threefold", "fold": 3}},
+                "train.split.fold: threefold needs fold in (0, 1, 2), got 3",
+            ),
+            ("eval", {"epsilon": 1.5}, "eval.epsilon: must be in (0, 1), got 1.5"),
+            ("eval", {"spacing": -1.0}, "eval.spacing: must be positive, got -1.0"),
+            ("data", {"synthetic": {"n": 0}}, "data.synthetic.n: must be >= 1, got 0"),
+            (
+                "loss",
+                {"distance": "l2"},
+                "loss.distance: unknown distance 'l2'; expected one of ('cross_entropy', 'dice')",
+            ),
+        ],
+        ids=["epochs", "batch_size", "scheme", "preset", "fold", "epsilon", "spacing", "synthetic_n", "distance"],
+    )
+    def test_run_rule_reports_its_keyed_line(self, section, change, line):
+        payload = {"data": {"synthetic": {"n": 2}, "resolution": 32}, section: {}}
+        payload[section].update(change)
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(payload)
+        assert str(exc.value) == f"invalid configuration:\n  {line}"
+
+    # a payload breaks either the scheme rule or the fold rule, never both
+    @pytest.mark.parametrize(
+        "split, scheme_lines, fold_lines",
+        [
+            ({"scheme": "kfold"}, ["  train.split.scheme: 'kfold' not one of ('fractions', 'threefold')"], []),
+            ({"scheme": "threefold", "fold": 3}, [], ["  train.split.fold: threefold needs fold in (0, 1, 2), got 3"]),
+        ],
+        ids=["scheme", "fold"],
+    )
+    def test_every_broken_run_rule_reported_at_once(self, split, scheme_lines, fold_lines):
+        payload = {
+            "data": {"synthetic": {"n": 0}, "resolution": 40},
+            "arch": {"activation": "tanh"},
+            "loss": {"distance": "l2"},
+            "train": {"epochs": 0, "batch_size": -2, "split": dict(split, preset="1/1/1")},
+            "eval": {"epsilon": 0.0, "spacing": 0.0},
+        }
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(payload)
+        assert str(exc.value).splitlines() == [
+            "invalid configuration:",
+            "  loss.distance: unknown distance 'l2'; expected one of ('cross_entropy', 'dice')",
+            "  arch.activation: unknown activation 'tanh'; expected one of ('elu', 'relu')",
+            "  data.resolution: must be a positive multiple of 16 (four downsampling stages), got 40",
+            "  data.synthetic.n: must be >= 1, got 0",
+            "  train.epochs: must be >= 1, got 0",
+            "  train.batch_size: must be >= 1, got -2",
+            *scheme_lines,
+            "  train.split.preset: '1/1/1' not one of ['45/22/33', '50/17/33', '60/7/33']",
+            *fold_lines,
+            "  eval.epsilon: must be in (0, 1), got 0.0",
+            "  eval.spacing: must be positive, got 0.0",
+        ]
 
     def test_root_and_synthetic_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
@@ -382,7 +454,17 @@ class TestSignificanceCommand:
         [
             pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,0.5\n", ":2: malformed", id="short_row"),
             pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,high,0.5,1.0\n", ":2: malformed", id="non_numeric"),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,nan,0.5,1.0\n", ":2: malformed", id="nan"),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,0.5,inf,1.0\n", ":2: malformed", id="inf"),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,1.5,0.5,1.0\n", ":2: malformed", id="dice_above_1"),
+            pytest.param(
+                b"id,class,dice,jaccard,surface_distance\nx,lungs,0.5,0.3,1.0\nx,heart,0.5,-0.1,1.0\n",
+                ":3: malformed",
+                id="jaccard_below_0",
+            ),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,0.5,0.3,nan\n", ":2: malformed", id="sd_nan"),
             pytest.param(b"", ": empty", id="empty"),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\n", ": no records", id="header_only"),
             pytest.param(b"id,class,dice,jaccard,surface_distance\n\xff\n", ":2: records are not UTF-8", id="not_utf8"),
             pytest.param(None, "cannot read records", id="missing"),
         ],

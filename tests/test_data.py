@@ -11,7 +11,6 @@ from fcxs.data import (
     build_groundtruth,
     compute_norm_stats,
     load_dataset,
-    load_split,
     normalize_by_train_split,
     normalize_samples,
     save_dataset,
@@ -213,9 +212,14 @@ class TestSplits:
         split = split_dataset([f"i{i}" for i in range(20)], seed=2)
         path = tmp_path / "split.json"
         save_split(split, path)
-        assert load_split(path) == split
         payload = json.loads(path.read_text())
-        assert set(payload) == {"train", "valid", "test", "seed", "scheme"}
+        assert payload == {
+            "train": split.train,
+            "valid": split.valid,
+            "test": split.test,
+            "seed": split.seed,
+            "scheme": split.scheme,
+        }
 
 
 class TestSynthetic:
@@ -396,6 +400,15 @@ class TestLoadDataset:
         write_pgm(tmp_path / "images" / "odd.pgm", np.zeros((32, 48)))
         with pytest.warns(UserWarning, match="not square"):
             assert load_dataset(tmp_path, 32) == []
+
+    @pytest.mark.parametrize("shape", [(129, 128), (96, 96)], ids=["not_square", "not_a_multiple"])
+    def test_malformed_mask_size_reported_and_skipped(self, tmp_path, shape):
+        samples = synth_generate(2, 64, seed=17)
+        save_dataset(samples, tmp_path)
+        write_pgm(tmp_path / "masks" / f"{samples[1].id}_heart.pgm", np.zeros(shape))
+        with pytest.warns(UserWarning, match=f"{samples[1].id}: mask 'heart'"):
+            loaded = load_dataset(tmp_path, 64)
+        assert [s.id for s in loaded] == [samples[0].id]
 
     def test_downsampling_preserves_disc_area(self, tmp_path):
         size, target = 1024, 256

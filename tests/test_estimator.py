@@ -5,6 +5,7 @@ from fcxs.data import Sample, normalize_image, split_dataset, synth_generate
 from fcxs.errors import ConfigError, DataError
 from fcxs.estimator import FCNSegmenter
 from fcxs.evaluation import evaluate
+from fcxs.optim import Adam
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,13 @@ class TestValidationHelpers:
             model.fit(X, np.full((6, 3, 32, 32), 2))
         with pytest.raises(DataError, match="samples"):
             model.fit(X, np.zeros((5, 3, 32, 32)))
+
+    def test_broken_run_rule_rejected_before_first_step(self, xy, monkeypatch):
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+        with pytest.raises(ConfigError, match=r"eval\.epsilon: must be in \(0, 1\), got 1\.5"):
+            quick_model(epsilon=1.5).fit(*xy)
+        assert steps == []
 
     def test_non_finite_rejected(self, xy):
         X, y = xy

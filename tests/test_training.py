@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fcxs.config import RunConfig, TrainSection
 from fcxs.data import DatasetSplit, build_groundtruth, compute_norm_stats, normalize_samples, synth_generate
 from fcxs.errors import ConfigError
 from fcxs.losses import LossConfig
@@ -17,6 +18,10 @@ def tiny_dataset():
 
 def overfit_split(samples):
     return DatasetSplit([s.id for s in samples], [], [], 0, "manual")
+
+
+def run_cfg(loss, **train_section):
+    return RunConfig(loss=loss, train=TrainSection(**train_section))
 
 
 def tiny_net(arch="invertednet", head="sigmoid", seed=0):
@@ -49,12 +54,7 @@ class TestTrainLoop:
             net,
             [sample],
             split,
-            LossConfig("dice", weighted=False),
-            epochs=500,
-            batch_size=1,
-            lr=3e-3,
-            seed=0,
-            patience=500,
+            run_cfg(LossConfig("dice", weighted=False), epochs=500, batch_size=1, lr=3e-3, seed=0, patience=500),
             target_j=0.99,
         )
         assert hist.best_mean_jaccard >= 0.99
@@ -69,12 +69,7 @@ class TestTrainLoop:
                 net,
                 tiny_dataset,
                 split,
-                LossConfig("dice", weighted=True),
-                epochs=4,
-                batch_size=2,
-                lr=1e-4,
-                seed=5,
-                patience=50,
+                run_cfg(LossConfig("dice", weighted=True), epochs=4, batch_size=2, lr=1e-4, seed=5, patience=50),
             )
             return hist
 
@@ -89,8 +84,8 @@ class TestTrainLoop:
         for _ in range(2):
             net = tiny_net(seed=2)
             net, _ = train(
-                net, tiny_dataset, split, LossConfig("dice"), epochs=3, batch_size=2,
-                lr=1e-4, seed=9, patience=10,
+                net, tiny_dataset, split,
+                run_cfg(LossConfig("dice"), epochs=3, batch_size=2, lr=1e-4, seed=9, patience=10),
             )
             states.append({name: arr.copy() for name, arr in net.state_arrays()})
         for name in states[0]:
@@ -103,39 +98,37 @@ class TestTrainLoop:
             net,
             tiny_dataset,
             split,
-            LossConfig("cross_entropy", weighted=True),
-            epochs=3,
-            batch_size=2,
-            lr=1e-4,
-            seed=0,
-            patience=10,
+            run_cfg(LossConfig("cross_entropy", weighted=True), epochs=3, batch_size=2, lr=1e-4, seed=0, patience=10),
         )
         assert len(hist.records) == 3
         assert all(np.isfinite(r.loss) for r in hist.records)
 
     def test_pairing_violation_rejected(self, tiny_dataset):
         net = tiny_net(head="sigmoid")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="requires a softmax head"):
             train(
-                net, tiny_dataset, overfit_split(tiny_dataset), LossConfig("cross_entropy"),
-                epochs=1,
+                net, tiny_dataset, overfit_split(tiny_dataset), run_cfg(LossConfig("cross_entropy"), epochs=1)
             )
 
     def test_empty_train_split_rejected(self, tiny_dataset):
         with pytest.raises(ConfigError):
             split = DatasetSplit([], [], [s.id for s in tiny_dataset], 0, "manual")
-            train(tiny_net(), tiny_dataset, split, LossConfig("dice"), epochs=1)
+            train(tiny_net(), tiny_dataset, split, run_cfg(LossConfig("dice"), epochs=1))
+
+    def test_run_config_validated_on_entry(self, tiny_dataset):
+        with pytest.raises(ConfigError, match="train.batch_size: must be >= 1, got 0"):
+            train(tiny_net(), tiny_dataset, overfit_split(tiny_dataset), run_cfg(LossConfig("dice"), batch_size=0))
 
     def test_unknown_ids_rejected(self, tiny_dataset):
         split = DatasetSplit(["nope"], [], [], 0, "manual")
         with pytest.raises(ConfigError):
-            train(tiny_net(), tiny_dataset, split, LossConfig("dice"), epochs=1)
+            train(tiny_net(), tiny_dataset, split, run_cfg(LossConfig("dice"), epochs=1))
 
     def test_monitor_falls_back_to_train_split(self, tiny_dataset):
         net = tiny_net()
         _, hist = train(
-            net, tiny_dataset, overfit_split(tiny_dataset), LossConfig("dice"),
-            epochs=2, batch_size=2, lr=1e-4, seed=0,
+            net, tiny_dataset, overfit_split(tiny_dataset),
+            run_cfg(LossConfig("dice"), epochs=2, batch_size=2, lr=1e-4, seed=0),
         )
         assert hist.monitored_split == "train"
 
@@ -143,8 +136,7 @@ class TestTrainLoop:
         ids = [s.id for s in tiny_dataset]
         split = DatasetSplit(ids[:3], ids[3:], [], 0, "manual")
         _, hist = train(
-            tiny_net(), tiny_dataset, split, LossConfig("dice"), epochs=2, batch_size=2,
-            lr=1e-4, seed=0,
+            tiny_net(), tiny_dataset, split, run_cfg(LossConfig("dice"), epochs=2, batch_size=2, lr=1e-4, seed=0)
         )
         assert hist.monitored_split == "valid"
 
@@ -152,16 +144,16 @@ class TestTrainLoop:
         # lr=0 never improves, so the run stops after patience epochs + 1
         net = tiny_net()
         _, hist = train(
-            net, tiny_dataset, overfit_split(tiny_dataset), LossConfig("dice"),
-            epochs=50, batch_size=2, lr=0.0, seed=0, patience=3,
+            net, tiny_dataset, overfit_split(tiny_dataset),
+            run_cfg(LossConfig("dice"), epochs=50, batch_size=2, lr=0.0, seed=0, patience=3),
         )
         assert len(hist.records) == 4
 
     def test_checkpoints_written(self, tiny_dataset, tmp_path):
         net = tiny_net()
         net, hist = train(
-            net, tiny_dataset, overfit_split(tiny_dataset), LossConfig("dice"),
-            epochs=3, batch_size=2, lr=1e-4, seed=0, checkpoint_dir=tmp_path,
+            net, tiny_dataset, overfit_split(tiny_dataset),
+            run_cfg(LossConfig("dice"), epochs=3, batch_size=2, lr=1e-4, seed=0), checkpoint_dir=tmp_path,
         )
         assert (tmp_path / "best.fcxs").exists()
         assert (tmp_path / "last.fcxs").exists()
@@ -171,8 +163,8 @@ class TestTrainLoop:
 
     def test_history_csv_format(self, tiny_dataset):
         _, hist = train(
-            tiny_net(), tiny_dataset, overfit_split(tiny_dataset), LossConfig("dice"),
-            epochs=2, batch_size=2, lr=1e-4, seed=0,
+            tiny_net(), tiny_dataset, overfit_split(tiny_dataset),
+            run_cfg(LossConfig("dice"), epochs=2, batch_size=2, lr=1e-4, seed=0),
         )
         lines = hist.to_csv().strip().split("\n")
         assert lines[0] == "epoch,loss,J_class0,J_class1,J_class2"
