@@ -35,7 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, FcxsError, NumericError
 from .evaluation import evaluate, export_masks, read_records, records_to_csv
-from .gradcheck import gradcheck_network
+from .gradcheck import DEFAULT_TOLERANCE, SAMPLES_PER_PARAM, gradcheck_network
 from .models import (
     ARCHITECTURES,
     build_network,
@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_grad.add_argument("--arch", choices=list(ARCHITECTURES) + ["all"], default="all")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
-    p_grad.add_argument("--samples", type=_positive_int, default=100)
+    p_grad.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p_grad.add_argument("--samples", type=_positive_int, default=SAMPLES_PER_PARAM)
     p_grad.add_argument(
         "--self-test-corrupt",
         action="store_true",
@@ -235,13 +235,18 @@ def cmd_significance(args) -> int:
     for path in args.records:
         records = read_records(path)
         name = Path(path).stem
-        ids = [r.image_id for r in records if r.class_name == CLASS_NAMES[0]]
-        if reference_ids is None:
-            reference_ids = ids
-        elif ids != reference_ids:
-            raise DataError(f"{path}: image ids are misaligned with {args.records[0]}")
         for cls in CLASS_NAMES:
-            per_class_scores[cls][name] = [r.jaccard for r in records if r.class_name == cls]
+            rows = [r for r in records if r.class_name == cls]
+            ids = [r.image_id for r in rows]
+            if not ids:
+                raise DataError(f"{path}: no {cls!r} records")
+            if reference_ids is None:
+                reference_ids = ids
+            elif ids != reference_ids:
+                raise DataError(
+                    f"{path}: {cls!r} image ids are misaligned with the {CLASS_NAMES[0]!r} ids of {args.records[0]}"
+                )
+            per_class_scores[cls][name] = [r.jaccard for r in rows]
     out_lines = []
     for cls in CLASS_NAMES:
         names, matrix = significance_matrix(per_class_scores[cls])

@@ -92,31 +92,35 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
     def arch_config(self) -> ArchConfig:
-        """The network this run trains; the loss picks its head."""
-        return ArchConfig(
-            arch=self.arch.arch,
-            input_resolution=self.data.resolution,
-            head=self.loss.head,
-            activation=self.arch.activation,
-            drop_probability=self.arch.drop_probability,
-            base_channels=self.arch.base_channels,
-            init_seed=self.arch.init_seed,
-        )
+        """The network this run trains; the loss picks its head.
+
+        The architecture rules live in ``ArchConfig``; a broken one is a
+        ConfigError whose lines name the run-config keys that set it.
+        """
+        try:
+            return ArchConfig(
+                arch=self.arch.arch,
+                input_resolution=self.data.resolution,
+                head=self.loss.head,
+                activation=self.arch.activation,
+                drop_probability=self.arch.drop_probability,
+                base_channels=self.arch.base_channels,
+                init_seed=self.arch.init_seed,
+            )
+        except ConfigError as exc:
+            lines = [line.partition(": ") for line in str(exc).splitlines()]
+            raise ConfigError(
+                "\n".join(f"{_ARCH_KEYS.get(key, f'arch.{key}')}: {reason}" for key, _, reason in lines)
+            ) from None
 
     def validate(self, errors: Sequence[str] = ()) -> None:
         """Raise one ConfigError listing ``errors`` and every per-run rule
-        this config breaks, each as a ``key: reason`` line.
-
-        The architecture rules live in ``ArchConfig``; their problems are
-        reported under the run-config keys that set them.
-        """
+        this config breaks, each as a ``key: reason`` line."""
         errors = list(errors)
         try:
             self.arch_config()
         except ConfigError as exc:
-            for line in str(exc).splitlines():
-                key, _, reason = line.partition(": ")
-                errors.append(f"{_ARCH_KEYS.get(key, f'arch.{key}')}: {reason}")
+            errors.extend(str(exc).splitlines())
         data, tr = self.data, self.train
         if data.synthetic is not None and data.synthetic.n < 1:
             errors.append(f"data.synthetic.n: must be >= 1, got {data.synthetic.n}")

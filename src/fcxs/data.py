@@ -53,10 +53,6 @@ class Sample:
         if not np.isin(self.masks, (0, 1)).all():
             raise DataError(f"{self.id}: masks must be binary")
 
-    @property
-    def resolution(self) -> int:
-        return self.image.shape[1]
-
 
 @dataclass
 class GroundTruth:
@@ -79,6 +75,11 @@ def build_groundtruth(sample: Sample, encoding: str) -> GroundTruth:
     background = ~(clav | heart_d | lungs_d)
     channels = np.stack([background, lungs_d, clav, heart_d]).astype(np.uint8)
     return GroundTruth("entropy", channels)
+
+
+def organ_masks(gt: GroundTruth) -> np.ndarray:
+    """Per-organ binary masks (3,H,W) regardless of encoding."""
+    return gt.channels[1:] if gt.encoding == "entropy" else gt.channels
 
 
 # -- normalization ---------------------------------------------------------------
@@ -104,17 +105,12 @@ def normalize_image(image: np.ndarray, stats: NormStats) -> np.ndarray:
     return image if stats.std < STD_GUARD else image / np.float32(stats.std)
 
 
-def apply_norm(sample: Sample, stats: NormStats) -> Sample:
-    if stats.std < STD_GUARD:
-        warnings.warn(
-            f"{sample.id}: training std {stats.std:.3e} below guard; scaling skipped",
-            stacklevel=2,
-        )
-    return Sample(sample.id, normalize_image(sample.image, stats), sample.masks)
-
-
 def normalize_samples(samples: Sequence[Sample], stats: NormStats) -> list[Sample]:
-    return [apply_norm(s, stats) for s in samples]
+    """Each sample normalized by ``stats``; a degenerate std warns once per sample."""
+    if stats.std < STD_GUARD:
+        for s in samples:
+            warnings.warn(f"{s.id}: training std {stats.std:.3e} below guard; scaling skipped", stacklevel=2)
+    return [Sample(s.id, normalize_image(s.image, stats), s.masks) for s in samples]
 
 
 def normalize_by_train_split(samples: Sequence[Sample], split: DatasetSplit) -> tuple[list[Sample], NormStats]:

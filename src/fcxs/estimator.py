@@ -12,13 +12,13 @@ lungs, clavicles, heart.
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .config import ArchSection, DataConfig, EvalSection, RunConfig, TrainSection
-from .data import CLASS_NAMES, DatasetSplit, NormStats, Sample, normalize_image, split_dataset
+from .data import CLASS_NAMES, DatasetSplit, Sample, normalize_image, split_dataset
 from .errors import ConfigError, DataError
 from .evaluation import evaluate
 from .losses import LossConfig
@@ -63,6 +63,7 @@ def _samples(X: np.ndarray, y) -> list[Sample]:
     return [Sample(f"s{i:05d}", X[i], y[i]) for i in range(X.shape[0])]
 
 
+@dataclass(eq=False)
 class FCNSegmenter:
     """Multi-class organ segmentation with one of the four architectures.
 
@@ -75,51 +76,32 @@ class FCNSegmenter:
     the first epoch.
     """
 
-    def __init__(
-        self,
-        arch: str = ArchSection.arch,
-        loss: str = LossConfig.distance,
-        weighted: bool = LossConfig.weighted,
-        activation: str = ArchSection.activation,
-        drop_probability: float = ArchSection.drop_probability,
-        base_channels: Optional[int] = ArchSection.base_channels,
-        epochs: int = TrainSection.epochs,
-        batch_size: int = TrainSection.batch_size,
-        lr: float = TrainSection.lr,
-        patience: int = TrainSection.patience,
-        valid_fraction: float = 0.0,
-        epsilon: float = EvalSection.epsilon,
-        seed: int = TrainSection.seed,
-    ):
-        self.arch = arch
-        self.loss = loss
-        self.weighted = weighted
-        self.activation = activation
-        self.drop_probability = drop_probability
-        self.base_channels = base_channels
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.patience = patience
-        self.valid_fraction = valid_fraction
-        self.epsilon = epsilon
-        self.seed = seed
-        self.net_ = None
-        self.norm_stats_: Optional[NormStats] = None
-        self.history_ = None
+    arch: str = ArchSection.arch
+    loss: str = LossConfig.distance
+    weighted: bool = LossConfig.weighted
+    activation: str = ArchSection.activation
+    drop_probability: float = ArchSection.drop_probability
+    base_channels: Optional[int] = ArchSection.base_channels
+    epochs: int = TrainSection.epochs
+    batch_size: int = TrainSection.batch_size
+    lr: float = TrainSection.lr
+    patience: int = TrainSection.patience
+    valid_fraction: float = 0.0
+    epsilon: float = EvalSection.epsilon
+    seed: int = TrainSection.seed
+
+    # learned state: unannotated, so not constructor parameters
+    net_ = None
+    norm_stats_ = None
+    history_ = None
 
     # -- sklearn protocol ----------------------------------------------------
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "FCNSegmenter":
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for key, value in params.items():
             if key not in valid:
                 raise ConfigError(
@@ -187,8 +169,4 @@ class FCNSegmenter:
         samples = _samples(self._normalized(X), y)
         records, _ = evaluate(self.net_, samples, self.epsilon, with_surface_distance=False)
         return float(np.mean([r.jaccard for r in records]))
-
-    def __repr__(self) -> str:
-        params = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._param_names())
-        return f"{type(self).__name__}({params})"
 

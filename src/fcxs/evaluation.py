@@ -1,11 +1,13 @@
 """Test-set evaluation: thresholded masks, per-class overlap scores,
 surface distances, report tables, and mask/overlay exports.
 
-``evaluate`` accepts a single network or a list (which votes as a
-strict-majority ensemble) and produces one EvalRecord per (image,
-class) plus a ReportTable of per-class means.  Scores use the encoding
-matching the head: overlapping organ masks for sigmoid heads, disjoint
-organ channels for softmax heads.
+This is the one place that scores predicted masks: ``score_samples``
+accepts a single network or a list (which votes as a strict-majority
+ensemble) and produces one EvalRecord per (image, class); ``evaluate``
+adds a ReportTable of per-class means, and the training monitor reads
+the same records.  Scores use the encoding matching the head:
+overlapping organ masks for sigmoid heads, disjoint organ channels for
+softmax heads.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import CLASS_NAMES, Sample, build_groundtruth
+from .data import CLASS_NAMES, Sample, build_groundtruth, organ_masks
 from .errors import DataError
 from .imageio import write_pgm, write_png
 from .metrics import DEFAULT_EPSILON, boundary_pixels, dice, jaccard_from_dice, surface_distance_symmetric
 from .models import Network, ensemble_predict
-from .training import organ_masks
 
 
 @dataclass
@@ -66,29 +67,25 @@ class ReportTable:
         return "\n".join(lines)
 
 
-def evaluate(
+def score_samples(
     nets: Union[Network, Sequence[Network]],
     samples: Sequence[Sample],
     epsilon: float = DEFAULT_EPSILON,
     spacing: float = 1.0,
     with_surface_distance: bool = True,
-    label: str = "evaluation",
     on_masks: Optional[Callable[[Sample, np.ndarray], None]] = None,
-) -> tuple[list[EvalRecord], ReportTable]:
-    """Score every sample per class; aggregation follows the stable id order.
+) -> list[EvalRecord]:
+    """One EvalRecord per (sample, class), in sample then class order.
 
     ``on_masks(sample, masks)``, when given, receives each sample's
     predicted (3,H,W) masks, so callers that also export them need no
     second forward pass.
     """
-    if not samples:
-        raise DataError("evaluate: empty test set")
     nets = list(nets) if isinstance(nets, (list, tuple)) else [nets]
     encoding = "entropy" if nets[0].config.head == "softmax" else "dice"
     records: list[EvalRecord] = []
     for sample in samples:
-        gt = build_groundtruth(sample, encoding)
-        targets = organ_masks(gt)
+        targets = organ_masks(build_groundtruth(sample, encoding))
         preds = ensemble_predict(nets, sample.image, epsilon)
         if on_masks is not None:
             on_masks(sample, preds)
@@ -100,8 +97,23 @@ def evaluate(
                 else float("nan")
             )
             records.append(EvalRecord(sample.id, name, d, jaccard_from_dice(d), sd))
-    table = summarize(records, label=label)
-    return records, table
+    return records
+
+
+def evaluate(
+    nets: Union[Network, Sequence[Network]],
+    samples: Sequence[Sample],
+    epsilon: float = DEFAULT_EPSILON,
+    spacing: float = 1.0,
+    with_surface_distance: bool = True,
+    label: str = "evaluation",
+    on_masks: Optional[Callable[[Sample, np.ndarray], None]] = None,
+) -> tuple[list[EvalRecord], ReportTable]:
+    """``score_samples`` on a non-empty test set plus its ``summarize`` table."""
+    if not samples:
+        raise DataError("evaluate: empty test set")
+    records = score_samples(nets, samples, epsilon, spacing, with_surface_distance, on_masks)
+    return records, summarize(records, label=label)
 
 
 def summarize(records: Sequence[EvalRecord], label: str = "evaluation") -> ReportTable:
@@ -137,8 +149,9 @@ def records_to_csv(records: Sequence[EvalRecord]) -> str:
 def records_from_csv(text: str, source: str = "records") -> list[EvalRecord]:
     """Parse ``records_to_csv`` text; a malformed line is a DataError naming ``source`` and the line.
 
-    Dice and Jaccard must lie in [0, 1], and a surface distance is either
-    ``NA`` or a finite number >= 0; a file with no record is a DataError.
+    The class is one of ``CLASS_NAMES``, Dice and Jaccard must lie in
+    [0, 1], and a surface distance is either ``NA`` or a finite number
+    >= 0; a file with no record is a DataError.
     """
     rows = [(number, ln) for number, ln in enumerate(text.split("\n"), start=1) if ln]
     if not rows:
@@ -152,6 +165,8 @@ def records_from_csv(text: str, source: str = "records") -> list[EvalRecord]:
     for number, ln in rows[1:]:
         try:
             image_id, cls, d, j, sd = ln.split(",")
+            if cls not in CLASS_NAMES:
+                raise ValueError(f"class {cls!r} is not one of {CLASS_NAMES}")
             record = EvalRecord(image_id, cls, float(d), float(j), float("nan") if sd == "NA" else float(sd))
             if not (0.0 <= record.dice <= 1.0 and 0.0 <= record.jaccard <= 1.0):
                 raise ValueError("dice and jaccard must lie in [0, 1]")

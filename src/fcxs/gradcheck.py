@@ -15,6 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .losses import LossConfig, class_weights, segmentation_loss
+from .models import ArchConfig, build_network
 from .rng import Rng
 from .tensor import Tensor
 
@@ -154,10 +156,6 @@ def gradcheck_network(
     forward into the matching weighted distance, and finite-differences a
     seeded subsample of every parameter.
     """
-    from .losses import LossConfig, class_weights, segmentation_loss
-    from .models import ArchConfig, build_network
-    from .rng import Rng as _Rng
-
     loss_config = LossConfig(distance)
     config = ArchConfig(
         arch=arch,
@@ -168,7 +166,7 @@ def gradcheck_network(
         init_seed=seed,
     )
     net = build_network(config, dtype=np.float64)
-    rng = _Rng(seed)
+    rng = Rng(seed)
     x = rng.child(1).normal((2, 1, REDUCED_RESOLUTION, REDUCED_RESOLUTION), dtype=np.float64)
     n_classes = config.num_classes
     if distance == "cross_entropy":

@@ -121,4 +121,4 @@ def segmentation_loss(p: Tensor, ground_truth, config: LossConfig, weights=None)
         numer = T.add(T.mul(ops.sum_per_channel(T.mul(p, Tensor(chi))), 2.0), Tensor(smooth.astype(p.data.dtype)))
         denom = T.add(ops.sum_per_channel(p), Tensor((chi_sums + smooth).astype(p.data.dtype)))
         d = T.div(numer, denom)
-    return -T.tsum(T.mul(d, w))
+    return T.mul(T.tsum(T.mul(d, w)), -1.0)

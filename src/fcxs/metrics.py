@@ -41,10 +41,6 @@ def jaccard_from_dice(d: float) -> float:
     return d / (2.0 - d)
 
 
-def jaccard(pred: np.ndarray, gt: np.ndarray) -> float:
-    return jaccard_from_dice(dice(pred, gt))
-
-
 def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     """Mask pixels with at least one non-mask 4-neighbor (border = non-mask)."""
     m = np.asarray(mask).astype(bool)

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DataError, ShapeError
+from .metrics import certain_pixels
 from .rng import Rng
 from .tensor import Tensor, no_grad
 
@@ -199,12 +200,6 @@ class Network:
             for src in self._dead_after[idx]:
                 outputs[src] = None
         return outputs[-1]
-
-    def astype(self, dtype) -> "Network":
-        """Convert parameters in place (float64 for gradient checking)."""
-        for _, p in self.parameters():
-            p.data = p.data.astype(dtype)
-        return self
 
     def zero_grad(self) -> None:
         for _, p in self.parameters():
@@ -460,8 +455,6 @@ def ensemble_predict(nets: Sequence[Network], image, epsilon: float = 0.25) -> n
     than half of the networks keep it (ties excluded), equivalently when
     the mean binary vote exceeds 0.5.
     """
-    from .metrics import certain_pixels
-
     if not nets:
         raise ConfigError("ensemble_predict requires at least one network")
     heads = {(n.config.head, n.config.num_classes) for n in nets}

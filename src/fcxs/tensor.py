@@ -10,7 +10,8 @@ reverse and accumulates gradients.
 Reductions delegate to numpy's pairwise summation, which has a fixed
 order for a given build, so repeated runs on one machine are
 bit-identical.  Tensors produced by an operation are never mutated;
-only parameter data is updated in place by the optimizer between steps.
+between steps the optimizer rebinds each parameter's ``data`` to a
+new array.
 
 Every operation checks its result for NaN/Inf (a hard error per the
 numeric contract).
@@ -92,9 +93,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _not_scalar(self)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{tag})"
@@ -147,34 +145,6 @@ class Tensor:
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
         _require_finite_grads(order)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self.dtype), -self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-
-def _not_scalar(t: Tensor) -> float:
-    raise ShapeError(f"item() requires a scalar tensor, got shape {t.shape}")
 
 
 def _require_finite_grads(order: Iterable[Tensor]) -> None:

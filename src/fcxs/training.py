@@ -26,9 +26,9 @@ import numpy as np
 from .config import RunConfig
 from .data import DatasetSplit, GroundTruth, NormStats, Sample, build_groundtruth, normalize_by_train_split
 from .errors import ConfigError, NumericError
+from .evaluation import score_samples
 from .losses import class_weights, segmentation_loss
-from .metrics import dice, jaccard_from_dice
-from .models import Network, build_network, ensemble_predict, save_checkpoint
+from .models import Network, build_network, save_checkpoint
 from .optim import Adam
 from .rng import Rng
 
@@ -66,31 +66,17 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def organ_masks(gt: GroundTruth) -> np.ndarray:
-    """Per-organ binary masks (3,H,W) regardless of encoding."""
-    return gt.channels[1:] if gt.encoding == "entropy" else gt.channels
-
-
 def pack_batch(samples: Sequence[Sample], gts: Sequence[GroundTruth]):
     x = np.stack([s.image for s in samples]).astype(np.float32)
     chi = np.stack([g.channels for g in gts]).astype(np.float32)
     return x, chi
 
 
-def validation_jaccard(
-    net: Network,
-    samples: Sequence[Sample],
-    gts: Sequence[GroundTruth],
-    epsilon: float = 0.25,
-) -> np.ndarray:
-    """Mean thresholded Jaccard per organ class over a sample set."""
-    scores = np.zeros((len(samples), 3))
-    for i, (sample, gt) in enumerate(zip(samples, gts)):
-        masks = ensemble_predict([net], sample.image, epsilon)
-        targets = organ_masks(gt)
-        for c in range(3):
-            scores[i, c] = jaccard_from_dice(dice(masks[c], targets[c]))
-    return scores.mean(axis=0)
+def validation_jaccard(net: Network, samples: Sequence[Sample], epsilon: float = 0.25) -> np.ndarray:
+    """Mean thresholded Jaccard per organ class over a sample set: the
+    per-class mean of the ``score_samples`` records."""
+    records = score_samples(net, samples, epsilon, with_surface_distance=False)
+    return np.array([r.jaccard for r in records]).reshape(-1, 3).mean(axis=0)
 
 
 def train(
@@ -123,7 +109,6 @@ def train(
     train_ids = list(split.train)
     monitor_ids = list(split.valid) if split.valid else train_ids
     monitor_samples = [by_id[i] for i in monitor_ids]
-    monitor_gts = [gt_cache[i] for i in monitor_ids]
 
     optimizer = Adam(net.parameters(), lr=tr.lr)
     history = TrainHistory(monitored_split="valid" if split.valid else "train")
@@ -152,7 +137,7 @@ def train(
         except NumericError:
             history.diverged = True
 
-        val_j = validation_jaccard(net, monitor_samples, monitor_gts, epsilon=cfg.eval.epsilon)
+        val_j = validation_jaccard(net, monitor_samples, epsilon=cfg.eval.epsilon)
         record = EpochRecord(
             epoch=epoch,
             loss=float(np.mean(batch_losses)) if batch_losses else float("nan"),

@@ -463,6 +463,20 @@ class TestSignificanceCommand:
                 id="jaccard_below_0",
             ),
             pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lungs,0.5,0.3,nan\n", ":2: malformed", id="sd_nan"),
+            pytest.param(b"id,class,dice,jaccard,surface_distance\nx,lung,0.5,0.3,1.0\n", ":2: malformed", id="unknown_class"),
+            pytest.param(
+                b"id,class,dice,jaccard,surface_distance\nx,lungs,0.5,0.3,1.0\ny,lungs,0.5,0.3,1.0\n",
+                ": no 'clavicles' records",
+                id="missing_class",
+            ),
+            pytest.param(
+                b"id,class,dice,jaccard,surface_distance\n"
+                b"x,lungs,0.5,0.3,1.0\ny,lungs,0.5,0.3,1.0\n"
+                b"x,clavicles,0.5,0.3,1.0\ny,clavicles,0.5,0.3,1.0\n"
+                b"y,heart,0.5,0.3,1.0\nx,heart,0.5,0.3,1.0\n",
+                ": 'heart' image ids are misaligned",
+                id="misaligned_class_ids",
+            ),
             pytest.param(b"", ": empty", id="empty"),
             pytest.param(b"id,class,dice,jaccard,surface_distance\n", ": no records", id="header_only"),
             pytest.param(b"id,class,dice,jaccard,surface_distance\n\xff\n", ":2: records are not UTF-8", id="not_utf8"),

@@ -7,7 +7,6 @@ from fcxs.data import (
     CLASS_NAMES,
     DatasetSplit,
     Sample,
-    apply_norm,
     build_groundtruth,
     compute_norm_stats,
     load_dataset,
@@ -113,7 +112,7 @@ class TestNormalization:
         stats = compute_norm_stats([s])
         assert stats.mean == pytest.approx(1.0)
         assert stats.std == pytest.approx(1.0)
-        normed = apply_norm(s, stats)
+        normed = normalize_samples([s], stats)[0]
         assert set(np.unique(normed.image)) == {-1.0, 1.0}
 
     def test_constant_dataset_triggers_guard(self):
@@ -123,7 +122,7 @@ class TestNormalization:
         s = Sample("c", image, masks)
         stats = compute_norm_stats([s])
         with pytest.warns(UserWarning, match="scaling skipped"):
-            normed = apply_norm(s, stats)
+            normed = normalize_samples([s], stats)[0]
         np.testing.assert_allclose(normed.image, 0.0)
 
     def test_seeded_random_set_renormalizes_to_unit_stats(self):

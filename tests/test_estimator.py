@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,27 @@ class TestSklearnProtocol:
 
     def test_repr_shows_params(self):
         assert "arch='invertednet'" in repr(quick_model())
+
+    def test_repr_and_signature_pinned(self):
+        defaults = [
+            ("arch", "invertednet"), ("loss", "dice"), ("weighted", True), ("activation", "elu"),
+            ("drop_probability", 0.1), ("base_channels", None), ("epochs", 100), ("batch_size", 2),
+            ("lr", 1e-5), ("patience", 50), ("valid_fraction", 0.0), ("epsilon", 0.25), ("seed", 0),
+        ]
+        params = inspect.signature(FCNSegmenter).parameters.values()
+        assert [(p.name, p.default, p.kind) for p in params] == [
+            (name, default, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name, default in defaults
+        ]
+        assert repr(FCNSegmenter()) == (
+            "FCNSegmenter(arch='invertednet', loss='dice', weighted=True, activation='elu', "
+            "drop_probability=0.1, base_channels=None, epochs=100, batch_size=2, lr=1e-05, "
+            "patience=50, valid_fraction=0.0, epsilon=0.25, seed=0)"
+        )
+        assert repr(quick_model(loss="cross_entropy")) == (
+            "FCNSegmenter(arch='invertednet', loss='cross_entropy', weighted=True, activation='elu', "
+            "drop_probability=0.1, base_channels=16, epochs=3, batch_size=2, lr=0.0001, "
+            "patience=50, valid_fraction=0.0, epsilon=0.25, seed=0)"
+        )
 
 
 class TestFitPredict:
@@ -159,6 +182,21 @@ class TestValidationHelpers:
         with pytest.raises(ConfigError, match=r"eval\.epsilon: must be in \(0, 1\), got 1\.5"):
             quick_model(epsilon=1.5).fit(*xy)
         assert steps == []
+
+    @pytest.mark.parametrize(
+        "resolution, params, line",
+        [
+            (24, {}, "data.resolution: must be a positive multiple of 16 (four downsampling stages), got 24"),
+            (32, {"base_channels": 8}, "arch.base_channels: invertednet base_channels must be divisible by 16"),
+        ],
+        ids=["resolution", "base_channels"],
+    )
+    def test_arch_rule_reported_under_run_config_key(self, resolution, params, line):
+        X = np.random.default_rng(0).uniform(size=(2, resolution, resolution))
+        y = np.zeros((2, 3, resolution, resolution), dtype=np.uint8)
+        with pytest.raises(ConfigError) as info:
+            quick_model(**params).fit(X, y)
+        assert str(info.value).startswith(line)
 
     def test_non_finite_rejected(self, xy):
         X, y = xy

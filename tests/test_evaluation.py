@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fcxs.data import CLASS_NAMES, build_groundtruth, synth_generate
+from fcxs.data import CLASS_NAMES, build_groundtruth, organ_masks, synth_generate
 from fcxs.errors import DataError
 from fcxs.evaluation import (
     EvalRecord,
@@ -16,7 +16,6 @@ from fcxs.evaluation import (
 from fcxs.imageio import read_pgm, read_png
 from fcxs.models import ArchConfig, ensemble_predict
 from fcxs.tensor import Tensor
-from fcxs.training import organ_masks
 
 
 class StubNet:
@@ -46,7 +45,7 @@ def oracle_net(samples, head="sigmoid"):
         else:
             channels = channels * 0.9 + 0.05
         probs[s.id] = channels
-    return StubNet(probs, samples[0].resolution, head=head)
+    return StubNet(probs, samples[0].image.shape[-1], head=head)
 
 
 class TestEvaluate:

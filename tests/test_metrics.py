@@ -12,7 +12,6 @@ from fcxs.metrics import (
     boundary_pixels,
     certain_pixels,
     dice,
-    jaccard,
     jaccard_from_dice,
     surface_distance_symmetric,
 )
@@ -92,7 +91,7 @@ class TestDiceJaccard:
         m = np.zeros((8, 8), dtype=np.uint8)
         m[2:5, 2:5] = 1
         assert dice(m, m) == 1.0
-        assert jaccard(m, m) == 1.0
+        assert jaccard_from_dice(dice(m, m)) == 1.0
 
     def test_disjoint_masks(self):
         a = np.zeros((8, 8), dtype=np.uint8)
@@ -118,7 +117,7 @@ class TestDiceJaccard:
             size = int(rng.integers(4, 65))
             a, b = random_mask_pair(rng, size)
             assert dice(a, b) == pytest.approx(dice_oracle(a, b), abs=0)
-            assert jaccard(a, b) == pytest.approx(
+            assert jaccard_from_dice(dice(a, b)) == pytest.approx(
                 len(
                     {tuple(c) for c in np.argwhere(a)} & {tuple(c) for c in np.argwhere(b)}
                 )

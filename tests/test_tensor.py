@@ -18,10 +18,6 @@ class TestTensorBasics:
         t = Tensor(np.zeros((2, 2), dtype=np.float64))
         assert t.dtype == np.float64
 
-    def test_item_requires_scalar(self):
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros(3)).item()
-
     def test_finite_check_on_op(self):
         x = Tensor(np.array([0.0, -1.0]), requires_grad=True)
         with pytest.raises(NumericError):

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from fcxs.config import RunConfig, TrainSection
-from fcxs.data import DatasetSplit, build_groundtruth, compute_norm_stats, normalize_samples, synth_generate
+from fcxs.data import (
+    DatasetSplit,
+    build_groundtruth,
+    compute_norm_stats,
+    normalize_samples,
+    organ_masks,
+    synth_generate,
+)
 from fcxs.errors import ConfigError
+from fcxs.evaluation import evaluate
 from fcxs.losses import LossConfig
 from fcxs.models import ArchConfig, build_network, load_checkpoint
-from fcxs.training import organ_masks, train, validation_jaccard
+from fcxs.tensor import Tensor
+from fcxs.training import train, validation_jaccard
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +183,26 @@ class TestTrainLoop:
         assert len(timing) == 3
 
 
+class NoisyOracle:
+    """The samples' ground truth in the head's encoding plus seeded noise,
+    one sample per forward in order, so scores spread inside (0, 1)."""
+
+    def __init__(self, samples, head):
+        self.config = ArchConfig(arch="unet_original", input_resolution=32, head=head, base_channels=4)
+        encoding = "entropy" if head == "softmax" else "dice"
+        rng = np.random.default_rng(7)
+        self.probs = []
+        for s in samples:
+            channels = build_groundtruth(s, encoding).channels
+            self.probs.append(np.clip(channels + rng.uniform(-0.6, 0.6, channels.shape), 0.01, 0.99))
+        self.calls = 0
+
+    def forward(self, image, mode="infer", rng=None):
+        probs = self.probs[self.calls % len(self.probs)]
+        self.calls += 1
+        return Tensor(probs[None].astype(np.float32))
+
+
 class TestValidationJaccard:
     def test_perfect_oracle_scores_one(self, tiny_dataset):
         sample = tiny_dataset[0]
@@ -187,5 +216,13 @@ class TestValidationJaccard:
 
                 return Tensor(gt.channels[None].astype(np.float32))
 
-        scores = validation_jaccard(Oracle(), [sample], [gt])
+        scores = validation_jaccard(Oracle(), [sample])
         np.testing.assert_allclose(scores, 1.0)
+
+    @pytest.mark.parametrize("head", ["sigmoid", "softmax"])
+    def test_equals_evaluate_per_class_mean(self, tiny_dataset, head):
+        net = NoisyOracle(tiny_dataset, head)
+        scores = validation_jaccard(net, tiny_dataset, epsilon=0.25)
+        _, table = evaluate(net, tiny_dataset, epsilon=0.25, with_surface_distance=False)
+        assert tuple(scores.tolist()) == table.mean_jaccard
+        assert all(0.0 < j < 1.0 for j in table.mean_jaccard)
