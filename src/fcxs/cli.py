@@ -232,9 +232,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_significance(args) -> int:
     per_class_scores: dict[str, dict[str, list[float]]] = {c: {} for c in CLASS_NAMES}
     reference_ids = None
-    for path in args.records:
+    labels = [Path(path).stem for path in args.records]
+    if len(set(labels)) < len(labels):
+        labels = list(args.records)
+    for path, name in zip(args.records, labels):
         records = read_records(path)
-        name = Path(path).stem
         for cls in CLASS_NAMES:
             rows = [r for r in records if r.class_name == cls]
             ids = [r.image_id for r in rows]

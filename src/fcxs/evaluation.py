@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .data import CLASS_NAMES, Sample, build_groundtruth, organ_masks
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .imageio import write_pgm, write_png
 from .metrics import DEFAULT_EPSILON, boundary_pixels, dice, jaccard_from_dice, surface_distance_symmetric
 from .models import Network, ensemble_predict
@@ -82,6 +82,8 @@ def score_samples(
     second forward pass.
     """
     nets = list(nets) if isinstance(nets, (list, tuple)) else [nets]
+    if not nets:
+        raise ConfigError("scoring requires at least one network")
     encoding = "entropy" if nets[0].config.head == "softmax" else "dice"
     records: list[EvalRecord] = []
     for sample in samples:

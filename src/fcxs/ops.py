@@ -12,12 +12,14 @@ output rows covering at least ``_BLOCK_PIXELS`` output pixels, in one
 workspace (and one zero-bordered band of padded input rows) reused across
 blocks and samples; a 1x1 stride-1 convolution multiplies the input
 directly.  The backward closure keeps only the input, weight and bias,
-which the tape holds anyway, and rebuilds each sample's full columns:
-dW = sum_k g[k] @ cols(k).T, one GEMM per sample that reads the columns
-in place through a transposed view, while the same buffer then takes the
-sample's dcols = W.T @ g[k] for the dX scatter.  Every output element is
-the same dot product, summed in the same order, as a whole-batch im2col
-computes, so on one BLAS build the results match it bit for bit.
+which the tape holds anyway, and rebuilds each sample's columns one
+block of input channels at a time, each block capped at
+``_BLOCK_VALUES`` column values: the block's dW columns are
+g[k] @ cols_blk(k).T, summed over samples, while the same buffer then
+takes the block's dcols = W_blk.T @ g[k] for its dX scatter.  Every
+output element is the same dot product, summed in the same order, as a
+whole-batch im2col computes, so on one BLAS build the results match it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
 # cover at least this many output pixels, so each GEMM stays wide enough
 # for BLAS while the column workspace stays small
 _BLOCK_PIXELS = 512
+# conv2d backward builds one sample's columns a block of input channels at
+# a time, each block holding at most this many column values
+_BLOCK_VALUES = 1 << 23
 
 
 def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -110,34 +115,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3)))
         if not (weight.requires_grad or x.requires_grad):
             return
-        # one sample's columns for dW, then the same buffer holds its dcols
-        cols = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
-        padded = (c, h + pt + pb, w + pl + pr)
-        xp = None if direct else np.zeros(padded, dtype=x.dtype)
-        dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
+        # the direct path has no columns to split and stays one block: a
+        # 1-channel block there is a width-1 GEMM, which BLAS may sum in
+        # another order than the full product
+        step = c if direct else max(1, min(c, _BLOCK_VALUES // (kh * kw * ho * wo)))
+        padded = (step, h + pt + pb, w + pl + pr)
+        # one block's columns for dW, then the same buffer holds its dcols
+        workspace = np.empty(step * kh * kw * ho * wo, dtype=x.dtype)
+        band = np.zeros(padded, dtype=x.dtype) if weight.requires_grad and not direct else None
         dxp = np.empty(padded, dtype=x.dtype) if x.requires_grad else None
-        dw = None
+        dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
+        dw = np.empty(weight.shape, dtype=x.dtype) if weight.requires_grad else None
         for k in range(n):
-            if weight.requires_grad:
-                if direct:
-                    cols_k = x.data[k].reshape(c, h * w)
-                else:
-                    cols_k = _im2col(cols, xp, x.data[k], 0, stride, pt, pl)
-                term = g_mat[k] @ cols_k.T
-                if dw is None:
-                    dw = term
-                else:
-                    dw += term
-            if dx is not None:
-                dcols = np.matmul(w_mat.T, g_mat[k], out=cols.reshape(k_dim, ho * wo))
-                dcols = dcols.reshape(c, kh, kw, ho, wo)
-                dxp.fill(0)
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
-                dx[k] = dxp[:, pt : pt + h, pl : pl + w]
+            for c0 in range(0, c, step):
+                c1 = min(c0 + step, c)
+                r0, r1 = c0 * kh * kw, c1 * kh * kw
+                cols = workspace[: (r1 - r0) * ho * wo].reshape(c1 - c0, kh, kw, ho, wo)
+                if dw is not None:
+                    if direct:
+                        cols_k = x.data[k].reshape(c, h * w)
+                    else:
+                        cols_k = _im2col(cols, band[: c1 - c0], x.data[k, c0:c1], 0, stride, pt, pl)
+                    term = g_mat[k] @ cols_k.T
+                    dw_blk = dw.reshape(f, k_dim)[:, r0:r1]
+                    if k == 0:
+                        dw_blk[...] = term
+                    else:
+                        dw_blk += term
+                if dx is not None:
+                    dcols = np.matmul(w_mat[:, r0:r1].T, g_mat[k], out=cols.reshape(r1 - r0, ho * wo))
+                    dcols = dcols.reshape(c1 - c0, kh, kw, ho, wo)
+                    dxp_blk = dxp[: c1 - c0]
+                    dxp_blk.fill(0)
+                    for i in range(kh):
+                        for j in range(kw):
+                            dxp_blk[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
+                    dx[k, c0:c1] = dxp_blk[:, pt : pt + h, pl : pl + w]
         if dw is not None:
-            weight.accumulate_grad(dw.reshape(weight.shape))
+            weight.accumulate_grad(dw)
         if dx is not None:
             x.accumulate_grad(dx)
 
@@ -203,16 +218,17 @@ def maxpool2d(x: Tensor, stride: int = 2) -> Tensor:
     )
     winner = windows.argmax(axis=0).astype(np.uint8)  # first max in window order
     out = np.take_along_axis(windows, winner[None], axis=0)[0]
+    padded_hw = xp.shape[2:]  # the closure keeps the shape, not the padded copy
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        dxp = np.zeros((n, c) + xp.shape[2:], dtype=grad.dtype)
+        dxp = np.zeros((n, c) + padded_hw, dtype=grad.dtype)
         for k, (i, j) in enumerate(_POOL_OFFSETS):
             dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += grad * (
                 winner == k
             )
-        x.accumulate_grad(dxp[:, :, :h, :w])
+        x.accumulate_grad(dxp if stride == 2 else dxp[:, :, :h, :w])  # stride 2 pads nothing
 
     return make_op(out, (x,), backward, "maxpool2d")
 
@@ -326,7 +342,7 @@ def sum_per_channel(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(grad.reshape(1, -1, 1, 1), x.shape).astype(x.dtype).copy())
+            x.accumulate_grad(np.broadcast_to(grad.reshape(1, -1, 1, 1), x.shape).astype(x.dtype))
 
     return make_op(out, (x,), backward, "sum_per_channel")
 

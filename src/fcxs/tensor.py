@@ -7,6 +7,15 @@ set of tensors reachable from a loss value forms an acyclic, implicitly
 topologically ordered computation graph; ``Tensor.backward`` walks it in
 reverse and accumulates gradients.
 
+``backward`` consumes the graph it walks.  As soon as a node's backward
+closure has run, the node drops its gradient, closure and parents and
+stops requiring a gradient, so an intermediate that no caller holds is
+freed halfway through the walk.
+Leaves and parameters keep their gradients, and every node keeps its
+``data``: a network output or loss that the caller holds stays
+readable.  A second ``backward`` on a consumed graph raises
+``GraphStateError``.
+
 Reductions delegate to numpy's pairwise summation, which has a fixed
 order for a given build, so repeated runs on one machine are
 bit-identical.  Tensors produced by an operation are never mutated;
@@ -28,7 +37,7 @@ an exception.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,9 +58,9 @@ def no_grad():
         _RECORDING = previous
 
 
-def _require_finite(data: np.ndarray, where: str) -> None:
+def _require_finite(data: np.ndarray, what: str) -> None:
     if not np.isfinite(data).all():
-        raise NumericError(f"non-finite values produced by {where}")
+        raise NumericError(f"non-finite {what}")
 
 
 class Tensor:
@@ -100,16 +109,23 @@ class Tensor:
     # -- gradient plumbing ---------------------------------------------------
 
     def accumulate_grad(self, delta: np.ndarray) -> None:
+        """Add ``delta`` to this tensor's gradient.
+
+        Later deltas add in place, so a first delta that may be shared is
+        copied: a view, or the upstream gradient, which ``backward`` hands
+        each closure read-only (``add`` gives it to both operands).  A
+        fresh array of this tensor's dtype, such as conv2d's dx, is kept.
+        """
         if delta.shape != self.data.shape:
             raise ShapeError(
                 f"gradient shape {delta.shape} does not match tensor shape {self.data.shape}"
             )
-        if self.grad is None:
-            # a copy, never a view: ops such as concat_channels pass views
-            # of their upstream gradient, and later deltas add in place
-            self.grad = delta.astype(self.data.dtype)
-        else:
+        if self.grad is not None:
             self.grad += delta
+        elif delta.base is None and delta.flags.writeable and delta.dtype == self.data.dtype:
+            self.grad = delta
+        else:
+            self.grad = np.array(delta, dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -134,23 +150,29 @@ class Tensor:
         return order
 
     def backward(self) -> None:
-        """Reverse-topological gradient accumulation from a scalar loss."""
+        """Reverse-topological gradient accumulation from a scalar loss; consumes the graph."""
         if self.data.size != 1:
             raise GraphStateError("backward requires a scalar loss node")
         if self._backward_fn is None and not self._parents and not self.requires_grad:
-            raise GraphStateError("backward called on a tensor with no recorded graph")
+            raise GraphStateError(
+                "backward called on a tensor with no recorded graph (backward consumes the graph it walks)"
+            )
         order = self.graph_nodes()
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-        _require_finite_grads(order)
-
-
-def _require_finite_grads(order: Iterable[Tensor]) -> None:
-    for node in order:
-        if node.requires_grad and node.grad is not None and not np.isfinite(node.grad).all():
-            raise NumericError("non-finite gradient produced during backward")
+        while order:
+            node = order.pop()
+            grad = node.grad
+            if grad is not None and node.requires_grad:
+                # every consumer has run, so this gradient is complete
+                _require_finite(grad, "gradient produced during backward")
+            if node._backward_fn is None:
+                continue
+            if grad is not None:
+                grad.flags.writeable = False
+                node._backward_fn(grad)
+            node.grad = node._backward_fn = None
+            node._parents = ()
+            node.requires_grad = False
 
 
 def _as_tensor(value, dtype) -> Tensor:
@@ -169,7 +191,7 @@ def make_op(
 
     Under ``no_grad()`` the parents and the backward closure are dropped.
     """
-    _require_finite(data, where)
+    _require_finite(data, f"values produced by {where}")
     needs_grad = _RECORDING and any(p.requires_grad for p in parents)
     if not needs_grad:
         backward_fn = None

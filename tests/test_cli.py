@@ -443,6 +443,23 @@ class TestSignificanceCommand:
                 assert p < 0.01
                 break
 
+    @pytest.mark.parametrize(
+        "names, stems",
+        [(("a/records.csv", "b/records.csv"), False), (("x/model_a.csv", "y/model_b.csv"), True)],
+        ids=["same_stem", "unique_stems"],
+    )
+    def test_files_get_distinct_labels(self, tmp_path, capsys, names, stems):
+        # stems label the files unless two clash; then the paths do
+        ids = [f"i{i}" for i in range(12)]
+        paths = [tmp_path / name for name in names]
+        for path, offset in zip(paths, (0.0, 0.05)):
+            path.parent.mkdir()
+            self.make_records(path, ids, offset)
+        assert main(["significance", "--records"] + [str(p) for p in paths]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[lines.index("# class: lungs") + 1]
+        assert header.split(",")[1:] == [p.stem if stems else str(p) for p in paths]
+
     def test_misaligned_ids_exit_code_3(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         self.make_records(a, ["x", "y"], 0.0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from fcxs.data import CLASS_NAMES, build_groundtruth, organ_masks, synth_generate
-from fcxs.errors import DataError
+from fcxs.errors import ConfigError, DataError
 from fcxs.evaluation import (
     EvalRecord,
     evaluate,
+    score_samples,
     export_masks,
     records_from_csv,
     records_to_csv,
@@ -83,6 +84,13 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         with pytest.raises(DataError):
             evaluate(StubNet({}, 32), [])
+
+    def test_no_network_rejected(self):
+        samples = synth_generate(1, 32, seed=41)
+        with pytest.raises(ConfigError):
+            score_samples([], samples)
+        with pytest.raises(ConfigError):
+            evaluate([], samples)
 
     def test_metric_equivalence_against_bruteforce(self):
         # protocol match: certain pixels -> dice -> jaccard computed by sets

@@ -194,6 +194,38 @@ class TestConv2d:
             assert got.dtype == dtype, name
             assert np.array_equal(got, want), name
 
+    # 5 input channels in blocks of 2 (2, 2 and a ragged 1) at both strides;
+    # the 1x1 direct path is never split, so it is not forced here
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_channel_blocked_backward_bit_identical(self, stride, kernel, dtype, monkeypatch):
+        rng = Rng(500 + stride * 10 + kernel)
+        batch, size = 2, (9, 11)
+        ho, wo = -(-size[0] // stride), -(-size[1] // stride)
+        monkeypatch.setattr(ops, "_BLOCK_VALUES", 2 * kernel * kernel * ho * wo + 1)
+        blocks = []
+        im2col = ops._im2col
+
+        def counting(cols, *args):
+            blocks.append(cols.shape[0])
+            return im2col(cols, *args)
+
+        monkeypatch.setattr(ops, "_im2col", counting)
+        x = rng.child(0).normal((batch, 5) + size, dtype=dtype)
+        w = rng.child(1).normal((4, 5, kernel, kernel), dtype=dtype)
+        b = rng.child(2).normal((4,), dtype=dtype)
+        g = rng.child(3).normal((batch, 4, ho, wo), dtype=dtype)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = ops.conv2d(xt, wt, bt, stride=stride)
+        blocks.clear()  # keep the backward's blocks only
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        assert blocks == [2, 2, 1] * batch
+        expected = batched_im2col_conv2d(x, w, b, g, stride=stride)
+        for name, got, want in zip(("out", "dx", "dw", "db"), (out.data, xt.grad, wt.grad, bt.grad), expected):
+            assert got.dtype == dtype, name
+            assert np.array_equal(got, want), name
+
     @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 1)])
     def test_recording_keeps_no_buffer_beyond_output(self, kernel, stride):
         # 72 input rows per column against 4 filters: a column buffer kept

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,52 @@ class TestBackward:
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
+class TestConsumedTape:
+    def test_intermediate_is_freed(self):
+        x = Tensor(np.array([0.5, 2.0, 3.0]), requires_grad=True)
+        mid = T.mul(x, 2.0)
+        data = weakref.ref(mid.data)
+        loss = T.tsum(T.log(mid))
+        del mid
+        assert data() is not None  # the tape holds it until backward
+        loss.backward()
+        assert data() is None
+
+    def test_caller_held_output_keeps_data(self):
+        x = Tensor(np.array([0.5, 2.0, 3.0]), requires_grad=True)
+        out = T.mul(x, 2.0)
+        loss = T.tsum(out)
+        loss.backward()
+        np.testing.assert_array_equal(out.data, [1.0, 4.0, 6.0])
+        assert float(loss.data) == 11.0
+        assert out.grad is None and out._backward_fn is None and out._parents == ()
+
+    def test_parameter_gradients_match_hand_values(self):
+        w = Tensor(np.array([0.5, -1.0, 2.0], dtype=np.float64), requires_grad=True)
+        c = Tensor(np.array([3.0, 1.0, -2.0], dtype=np.float64), requires_grad=True)
+        # d/dw sum(w*w*c + w) = 2wc + 1, d/dc = w*w
+        T.tsum(T.add(T.mul(T.mul(w, w), c), w)).backward()
+        np.testing.assert_array_equal(w.grad, 2 * w.data * c.data + 1)
+        np.testing.assert_array_equal(c.grad, w.data * w.data)
+
+    def test_second_backward_raises(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = T.tsum(T.mul(w, 3.0))
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+        with pytest.raises(GraphStateError):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+
+    def test_non_finite_gradient_raises(self):
+        # log of the smallest float32 subnormal is finite, its derivative is not
+        x = Tensor(np.array([1e-45, 1.0], dtype=np.float32), requires_grad=True)
+        loss = T.tsum(T.log(x))
+        assert np.isfinite(loss.data)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite gradient produced during backward"):
+            loss.backward()
+
+
 class TestNoGrad:
     def test_ops_inside_record_nothing(self):
         w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
@@ -153,27 +201,34 @@ class TestGradientBuffers:
     def test_first_delta_is_copied_not_aliased(self):
         from fcxs.ops import concat_channels
 
+        # add hands its upstream gradient to both the concat and `other`;
         # x feeds both halves of the concat, so its first delta is a view of
-        # the concat's upstream gradient and its second one is added on top
+        # that array and its second one is added on top
         x = Tensor(np.arange(18, dtype=np.float32).reshape(1, 2, 3, 3), requires_grad=True)
+        other = Tensor(np.zeros((1, 4, 3, 3), dtype=np.float32), requires_grad=True)
         x_before = x.data.copy()
         cat = concat_channels(x, x)
         cat_before = cat.data.copy()
         weights = np.arange(36, dtype=np.float32).reshape(1, 4, 3, 3)
-        T.tsum(T.mul(cat, weights)).backward()
-        np.testing.assert_array_equal(cat.grad, weights)
+        T.tsum(T.mul(T.add(cat, other), weights)).backward()
+        np.testing.assert_array_equal(other.grad, weights)
         np.testing.assert_array_equal(cat.data, cat_before)
         np.testing.assert_array_equal(x.data, x_before)
         np.testing.assert_array_equal(x.grad, weights[:, :2] + weights[:, 2:])
-        assert not np.shares_memory(x.grad, cat.grad)
+        assert not np.shares_memory(x.grad, other.grad)
 
     def test_first_delta_equal_to_upstream_is_copied(self):
-        # add passes its upstream gradient array itself to both operands
-        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        y = T.add(x, x)
-        T.tsum(y).backward()
-        np.testing.assert_array_equal(y.grad, np.ones((2, 3), dtype=np.float32))
-        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0, dtype=np.float32))
+        # add passes its upstream gradient array itself to both operands;
+        # `a` then takes a second delta, which must not reach b's gradient,
+        # whichever of a's two consumers runs its backward first
+        for a_first in (True, False):
+            a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+            b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+            y, z = T.add(a, b), T.mul(a, 3.0)
+            T.tsum(T.add(y, z) if a_first else T.add(z, y)).backward()
+            np.testing.assert_array_equal(b.grad, np.ones((2, 3), dtype=np.float32))
+            np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0, dtype=np.float32))
+            assert not np.shares_memory(a.grad, b.grad)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_elu_gradient_keeps_input_dtype(self, dtype, monkeypatch):
