@@ -156,8 +156,6 @@ def cmd_eval(args) -> int:
     by_id = {s.id: s for s in normed}
     raw_by_id = {s.id: s for s in samples}
     test_samples = [by_id[i] for i in split.test]
-    if not test_samples:
-        raise DataError("test split is empty")
 
     def export(sample, masks):
         export_masks(out_dir / "predictions", raw_by_id[sample.id], masks, overlays=cfg.eval.overlays)

@@ -5,10 +5,10 @@ Validation is strict (unknown keys and values of the wrong JSON type are
 rejected) and total: every problem in the document is collected and
 reported in one error.  The per-run rules live in ``RunConfig.validate``,
 which ``training.train`` calls too, so a config built in code meets
-them before its first epoch.  The loss alone sets the ground-truth
-encoding.  The fully resolved configuration (defaults filled in) is
-echoed to ``config.resolved.json`` in the output directory, and feeding
-that file back reproduces the run.
+them before its first epoch.  The loss distance alone sets the head and
+the ground-truth channels.  The fully resolved configuration (defaults
+filled in) is echoed to ``config.resolved.json`` in the output
+directory, and feeding that file back reproduces the run.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
-"""Dataset ingestion, ground-truth encodings, normalization, splits, and
+"""Dataset ingestion, ground-truth targets, normalization, splits, and
 the synthetic generator used for desk-scale verification.
 
-Two ground-truth encodings exist, paired with the two loss heads:
+The loss distance picks the target channels ``build_groundtruth`` makes:
 
-* ``dice``    -- the three organ masks exactly as stored (3 channels,
+* ``dice``          -- the three organ masks exactly as stored (3 channels,
   overlaps permitted; lungs keep any clavicle overlap).
-* ``entropy`` -- four disjoint channels (background, lungs, clavicles,
-  heart) that partition the pixel grid.  Overlaps are resolved with
-  priority clavicles > heart > lungs.
+* ``cross_entropy`` -- four disjoint channels (background, lungs,
+  clavicles, heart) that partition the pixel grid.  Overlaps are
+  resolved with priority clavicles > heart > lungs.
+
+In both layouts, as in both network heads, the organs are the last three
+channels, so ``[-3:]`` reads them from a target or a prediction alike.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .imageio import read_gray, write_pgm
+from .losses import DISTANCES
 from .rng import Rng
 
 CLASS_NAMES = ("lungs", "clavicles", "heart")
-ENCODINGS = ("dice", "entropy")
 SPLIT_PRESETS = {
     "60/7/33": (0.60, 0.07, 0.33),
     "50/17/33": (0.50, 0.17, 0.33),
@@ -54,32 +57,18 @@ class Sample:
             raise DataError(f"{self.id}: masks must be binary")
 
 
-@dataclass
-class GroundTruth:
-    """Per-image class channels; disjoint (background first) for 'entropy'."""
-
-    encoding: str
-    channels: np.ndarray  # (L, H, W) uint8
-
-
-def build_groundtruth(sample: Sample, encoding: str) -> GroundTruth:
-    if encoding not in ENCODINGS:
-        raise ConfigError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
-    lungs, clavicles, heart = (sample.masks[i].astype(bool) for i in range(3))
-    if encoding == "dice":
-        return GroundTruth("dice", sample.masks.copy())
+def build_groundtruth(sample: Sample, distance: str) -> np.ndarray:
+    """The (L,H,W) uint8 target channels the loss ``distance`` trains against."""
+    if distance not in DISTANCES:
+        raise ConfigError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
+    if distance == "dice":
+        return sample.masks.copy()
+    lungs, clavicles, heart = sample.masks.astype(bool)
     # disjointify: clavicles > heart > lungs, background is the complement
-    clav = clavicles
-    heart_d = heart & ~clav
-    lungs_d = lungs & ~clav & ~heart_d
-    background = ~(clav | heart_d | lungs_d)
-    channels = np.stack([background, lungs_d, clav, heart_d]).astype(np.uint8)
-    return GroundTruth("entropy", channels)
-
-
-def organ_masks(gt: GroundTruth) -> np.ndarray:
-    """Per-organ binary masks (3,H,W) regardless of encoding."""
-    return gt.channels[1:] if gt.encoding == "entropy" else gt.channels
+    heart_d = heart & ~clavicles
+    lungs_d = lungs & ~clavicles & ~heart_d
+    background = ~(clavicles | heart_d | lungs_d)
+    return np.stack([background, lungs_d, clavicles, heart_d]).astype(np.uint8)
 
 
 # -- normalization ---------------------------------------------------------------

@@ -5,7 +5,7 @@ This is the one place that scores predicted masks: ``score_samples``
 accepts a single network or a list (which votes as a strict-majority
 ensemble) and produces one EvalRecord per (image, class); ``evaluate``
 adds a ReportTable of per-class means, and the training monitor reads
-the same records.  Scores use the encoding matching the head:
+the same records.  Scores use the targets the head was trained on:
 overlapping organ masks for sigmoid heads, disjoint organ channels for
 softmax heads.
 """
@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import CLASS_NAMES, Sample, build_groundtruth, organ_masks
+from .data import CLASS_NAMES, Sample, build_groundtruth
 from .errors import ConfigError, DataError
 from .imageio import write_pgm, write_png
 from .metrics import DEFAULT_EPSILON, boundary_pixels, dice, jaccard_from_dice, surface_distance_symmetric
@@ -84,10 +84,10 @@ def score_samples(
     nets = list(nets) if isinstance(nets, (list, tuple)) else [nets]
     if not nets:
         raise ConfigError("scoring requires at least one network")
-    encoding = "entropy" if nets[0].config.head == "softmax" else "dice"
+    distance = "cross_entropy" if nets[0].config.head == "softmax" else "dice"
     records: list[EvalRecord] = []
     for sample in samples:
-        targets = organ_masks(build_groundtruth(sample, encoding))
+        targets = build_groundtruth(sample, distance)[-3:]
         preds = ensemble_predict(nets, sample.image, epsilon)
         if on_masks is not None:
             on_masks(sample, preds)

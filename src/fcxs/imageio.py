@@ -135,45 +135,32 @@ def write_png(path, image: np.ndarray) -> None:
 
 
 def _unfilter(raw: bytes, height: int, width: int, bpp: int) -> np.ndarray:
+    """Undo the per-scanline filters; every sum wraps mod 256 as in uint8."""
     stride = width * bpp
-    out = np.zeros((height, stride), dtype=np.uint8)
-    pos = 0
-    prev = np.zeros(stride, dtype=np.int32)
-    for y in range(height):
-        ftype = raw[pos]
-        pos += 1
-        line = np.frombuffer(raw[pos : pos + stride], dtype=np.uint8).astype(np.int32)
-        pos += stride
-        cur = np.zeros(stride, dtype=np.int32)
+    rows = np.frombuffer(raw, np.uint8).reshape(height, 1 + stride)
+    out = np.zeros((height + 1, stride), dtype=np.uint8)  # row 0 is the zero row above the image
+    for y, ftype in enumerate(rows[:, 0].tolist(), start=1):
+        line, up = rows[y - 1, 1:], out[y - 1]
         if ftype == 0:
-            cur = line.copy()
+            out[y] = line
+        elif ftype == 1:  # Sub: a running sum along each byte lane
+            out[y] = line.reshape(-1, bpp).cumsum(axis=0, dtype=np.uint8).reshape(-1)
         elif ftype == 2:  # Up
-            cur = (line + prev) & 0xFF
-        else:  # Sub, Average, Paeth need the running left value
-            for i in range(stride):
-                left = cur[i - bpp] if i >= bpp else 0
-                up = prev[i]
-                ul = prev[i - bpp] if i >= bpp else 0
-                if ftype == 1:
-                    val = line[i] + left
-                elif ftype == 3:
-                    val = line[i] + ((left + up) >> 1)
-                elif ftype == 4:
-                    p = left + up - ul
-                    pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
-                    if pa <= pb and pa <= pc:
-                        pred = left
-                    elif pb <= pc:
-                        pred = up
-                    else:
-                        pred = ul
-                    val = line[i] + pred
-                else:
-                    raise DataError(f"unsupported PNG filter type {ftype}")
-                cur[i] = val & 0xFF
-        out[y] = cur.astype(np.uint8)
-        prev = cur
-    return out
+            out[y] = line + up
+        elif ftype in (3, 4):  # Average and Paeth need the decoded left byte
+            prior, cur = [0] * bpp + up.tolist(), [0] * bpp
+            for i, x in enumerate(line.tolist()):
+                a, b, c = cur[i], prior[i + bpp], prior[i]
+                if ftype == 3:
+                    pred = (a + b) >> 1
+                else:  # distances of a + b - c to a, b and c
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+                cur.append((x + pred) & 0xFF)
+            out[y] = cur[bpp:]
+        else:
+            raise DataError(f"unsupported PNG filter type {ftype}")
+    return out[1:]
 
 
 def read_png(path) -> tuple[np.ndarray, int]:

@@ -5,14 +5,14 @@ c_l, the weight ratios are r_l = c_l / c and the loss multiplies each
 class distance by 1/r_l, so scarce classes (clavicles) contribute on
 par with dominant ones (lungs).
 
-Two distance functions are supported, each tied to an output head and a
-ground-truth encoding:
+Two distance functions are supported, each tied to an output head and
+the ``data.build_groundtruth`` target channels it names:
 
-* cross entropy -- softmax head, disjoint 4-channel 'entropy' encoding;
+* cross entropy -- softmax head, background plus disjoint organs (4 channels);
   the per-class distance is the masked mean log probability
   (1/c) * sum_x chi_l(x) * log p_l(x), with probabilities clamped to
   [1e-7, 1 - 1e-7] so an unlucky zero never produces NaN.
-* dice          -- sigmoid head, overlapping 3-channel 'dice' encoding;
+* dice          -- sigmoid head, the overlapping organ masks (3 channels);
   the per-class distance is the soft overlap
   2 * sum(chi_l * p_l) / sum(chi_l + p_l), which works on real-valued
   maps and needs no thresholding inside the training loop.
@@ -51,10 +51,6 @@ class LossConfig:
     @property
     def head(self) -> str:
         return "softmax" if self.distance == "cross_entropy" else "sigmoid"
-
-    @property
-    def encoding(self) -> str:
-        return "entropy" if self.distance == "cross_entropy" else "dice"
 
     def validate_pairing(self, arch_config) -> None:
         if arch_config.head != self.head:

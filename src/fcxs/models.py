@@ -437,14 +437,14 @@ def load_checkpoint(path) -> Network:
 
 
 def organ_probabilities(net: Network, image) -> np.ndarray:
-    """Per-organ probability maps (3,H,W); drops the softmax background channel.
+    """Per-organ probability maps (3,H,W): the last three output channels.
 
     The tape-free entry point: the forward runs under ``no_grad``, so no
     autodiff graph is recorded and each activation is freed once read.
     """
     with no_grad():
         probs = net.forward(image, mode="infer").data[0]
-    return probs[1:] if net.config.head == "softmax" else probs
+    return probs[-3:]
 
 
 def ensemble_predict(nets: Sequence[Network], image, epsilon: float = 0.25) -> np.ndarray:

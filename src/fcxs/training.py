@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .data import DatasetSplit, GroundTruth, NormStats, Sample, build_groundtruth, normalize_by_train_split
+from .data import DatasetSplit, NormStats, Sample, build_groundtruth, normalize_by_train_split
 from .errors import ConfigError, NumericError
 from .evaluation import score_samples
 from .losses import class_weights, segmentation_loss
@@ -66,9 +66,9 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def pack_batch(samples: Sequence[Sample], gts: Sequence[GroundTruth]):
+def pack_batch(samples: Sequence[Sample], gts: Sequence[np.ndarray]):
     x = np.stack([s.image for s in samples]).astype(np.float32)
-    chi = np.stack([g.channels for g in gts]).astype(np.float32)
+    chi = np.stack(gts).astype(np.float32)
     return x, chi
 
 
@@ -104,8 +104,7 @@ def train(
     if missing:
         raise ConfigError(f"split references unknown sample ids: {missing[:5]}")
 
-    encoding = loss_config.encoding
-    gt_cache = {s.id: build_groundtruth(s, encoding) for s in samples}
+    gt_cache = {s.id: build_groundtruth(s, loss_config.distance) for s in samples}
     train_ids = list(split.train)
     monitor_ids = list(split.valid) if split.valid else train_ids
     monitor_samples = [by_id[i] for i in monitor_ids]

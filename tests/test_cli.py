@@ -36,7 +36,6 @@ class TestConfigParsing:
         path = run_config(tmp_path)
         cfg = load_run_config(path)
         assert cfg.train.patience == 50
-        assert cfg.loss.encoding == "dice"
 
     def test_unknown_keys_rejected_all_at_once(self):
         with pytest.raises(ConfigError) as exc:
@@ -336,6 +335,16 @@ class TestEvalCommand:
         save_checkpoint(build_network(ArchConfig(arch="invertednet", input_resolution=16, base_channels=16)), path)
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(path)]) == 2
         assert "data.resolution" in capsys.readouterr().err
+
+    def test_empty_test_split_exit_code_3(self, tmp_path, capsys):
+        from fcxs.models import ArchConfig, build_network, save_checkpoint
+
+        cfg = run_config(tmp_path, data={"synthetic": {"n": 1, "seed": 3}})  # 60/7/33 of one id: no test image
+        path = tmp_path / "net.fcxs"
+        save_checkpoint(build_network(ArchConfig(arch="invertednet", input_resolution=32, base_channels=16)), path)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "empty" in err and "test" in err
 
     def test_three_checkpoint_vote_matches_oracle(self, trained):
         from fcxs.config import load_run_config

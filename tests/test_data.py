@@ -41,39 +41,44 @@ class TestGroundTruth:
     def test_dice_encoding_keeps_masks_as_stored(self):
         lungs, clav, heart = nested_masks()
         gt = build_groundtruth(make_sample(lungs, clav, heart), "dice")
-        np.testing.assert_array_equal(gt.channels[0], lungs)
-        np.testing.assert_array_equal(gt.channels[1], clav)
-        np.testing.assert_array_equal(gt.channels[2], heart)
+        np.testing.assert_array_equal(gt[0], lungs)
+        np.testing.assert_array_equal(gt[1], clav)
+        np.testing.assert_array_equal(gt[2], heart)
 
     def test_entropy_removes_clavicles_from_lungs(self):
         lungs, clav, heart = nested_masks()
-        gt = build_groundtruth(make_sample(lungs, clav, heart), "entropy")
-        np.testing.assert_array_equal(gt.channels[2], clav)
-        assert not (gt.channels[1].astype(bool) & clav.astype(bool)).any()
+        gt = build_groundtruth(make_sample(lungs, clav, heart), "cross_entropy")
+        np.testing.assert_array_equal(gt[2], clav)
+        assert not (gt[1].astype(bool) & clav.astype(bool)).any()
 
     def test_entropy_partitions_grid(self):
         rng = np.random.default_rng(0)
         for trial in range(10):
             masks = (rng.uniform(size=(3, 16, 16)) < 0.3).astype(np.uint8)
-            gt = build_groundtruth(make_sample(*masks, sample_id=f"r{trial}"), "entropy")
-            np.testing.assert_array_equal(gt.channels.sum(axis=0), 1)
+            gt = build_groundtruth(make_sample(*masks, sample_id=f"r{trial}"), "cross_entropy")
+            np.testing.assert_array_equal(gt.sum(axis=0), 1)
 
     def test_priority_clavicles_over_heart_over_lungs(self):
         full = np.ones((4, 4), dtype=np.uint8)
-        gt = build_groundtruth(make_sample(full, full, full), "entropy")
-        np.testing.assert_array_equal(gt.channels[2], 1)  # clavicles win everywhere
-        np.testing.assert_array_equal(gt.channels[1], 0)
-        np.testing.assert_array_equal(gt.channels[3], 0)
+        gt = build_groundtruth(make_sample(full, full, full), "cross_entropy")
+        np.testing.assert_array_equal(gt[2], 1)  # clavicles win everywhere
+        np.testing.assert_array_equal(gt[1], 0)
+        np.testing.assert_array_equal(gt[3], 0)
 
     def test_all_zero_masks_give_background(self):
         zero = np.zeros((8, 8), dtype=np.uint8)
-        gt = build_groundtruth(make_sample(zero, zero, zero), "entropy")
-        np.testing.assert_array_equal(gt.channels[0], 1)
+        gt = build_groundtruth(make_sample(zero, zero, zero), "cross_entropy")
+        np.testing.assert_array_equal(gt[0], 1)
 
     def test_unknown_encoding_rejected(self):
         lungs, clav, heart = nested_masks()
         with pytest.raises(ConfigError):
             build_groundtruth(make_sample(lungs, clav, heart), "onehot")
+
+    def test_entropy_is_not_a_distance(self):
+        lungs, clav, heart = nested_masks()
+        with pytest.raises(ConfigError, match="cross_entropy"):
+            build_groundtruth(make_sample(lungs, clav, heart), "entropy")
 
     def test_nonbinary_mask_rejected(self):
         bad = np.full((4, 4), 2, dtype=np.uint8)
@@ -86,20 +91,20 @@ class TestProjection:
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 4, size=(16, 16))
         masks = [(labels == idx).astype(np.uint8) for idx in range(1, 4)]
-        gt = build_groundtruth(make_sample(*masks), "entropy")
+        gt = build_groundtruth(make_sample(*masks), "cross_entropy")
         for idx in range(1, 4):
-            np.testing.assert_array_equal(gt.channels[idx], masks[idx - 1])
+            np.testing.assert_array_equal(gt[idx], masks[idx - 1])
 
     def test_background_projection_is_complement(self):
         lungs, clav, heart = nested_masks()
-        gt = build_groundtruth(make_sample(lungs, clav, heart), "entropy")
-        organs = gt.channels[1:].sum(axis=0)
-        np.testing.assert_array_equal(gt.channels[0], 1 - organs)
+        gt = build_groundtruth(make_sample(lungs, clav, heart), "cross_entropy")
+        organs = gt[1:].sum(axis=0)
+        np.testing.assert_array_equal(gt[0], 1 - organs)
 
     def test_dice_projection_returns_channel(self):
         lungs, clav, heart = nested_masks()
         gt = build_groundtruth(make_sample(lungs, clav, heart), "dice")
-        np.testing.assert_array_equal(gt.channels[0], lungs)
+        np.testing.assert_array_equal(gt[0], lungs)
 
 
 class TestNormalization:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fcxs.data import CLASS_NAMES, build_groundtruth, organ_masks, synth_generate
+from fcxs.data import CLASS_NAMES, build_groundtruth, synth_generate
 from fcxs.errors import ConfigError, DataError
 from fcxs.evaluation import (
     EvalRecord,
@@ -35,11 +35,11 @@ class StubNet:
 
 def oracle_net(samples, head="sigmoid"):
     """Predicts exactly the ground truth probabilities for each sample in order."""
-    encoding = "entropy" if head == "softmax" else "dice"
+    distance = "cross_entropy" if head == "softmax" else "dice"
     probs = {}
     for s in samples:
-        gt = build_groundtruth(s, encoding)
-        channels = gt.channels.astype(np.float32)
+        gt = build_groundtruth(s, distance)
+        channels = gt.astype(np.float32)
         if head == "softmax":
             # well-calibrated, strictly inside (0,1), still above threshold
             channels = channels * 0.9 + 0.05
@@ -59,6 +59,12 @@ class TestEvaluate:
         assert table.mean_jaccard == (1.0, 1.0, 1.0)
         assert table.mean_surface_distance == (0.0, 0.0, 0.0)
 
+    def test_perfect_softmax_oracle_scores_disjoint_organs(self):
+        samples = synth_generate(3, 32, seed=41)
+        assert all((s.masks[0] & s.masks[1]).any() for s in samples)  # clavicles overlap the lungs
+        _, table = evaluate(oracle_net(samples, head="softmax"), samples, with_surface_distance=False)
+        assert table.mean_jaccard == (1.0, 1.0, 1.0)
+
     def test_constant_half_predictor_scores_zero(self):
         samples = synth_generate(2, 32, seed=42)
         probs = {s.id: np.full((3, 32, 32), 0.5, dtype=np.float32) for s in samples}
@@ -70,7 +76,7 @@ class TestEvaluate:
         samples = synth_generate(2, 32, seed=43)
         probs = {
             s.id: np.clip(
-                build_groundtruth(s, "dice").channels.astype(np.float32)
+                build_groundtruth(s, "dice").astype(np.float32)
                 + np.random.default_rng(0).uniform(-0.4, 0.4, (3, 32, 32)).astype(np.float32),
                 0.01,
                 0.99,
@@ -101,7 +107,7 @@ class TestEvaluate:
         idx = 0
         for s in samples:
             gt = build_groundtruth(s, "dice")
-            targets = organ_masks(gt)
+            targets = gt[-3:]
             for c in range(3):
                 pred = {(y, x) for y in range(16) for x in range(16) if probs[s.id][c, y, x] > 0.75}
                 truth = {(y, x) for y in range(16) for x in range(16) if targets[c][y, x]}

@@ -6,9 +6,14 @@ Corruptions are prefix truncations and single-byte XOR flips with 0x01,
 0x80 and 0xFF.  The image and records files are small enough to try
 every position; the checkpoint tries every byte of its 12-byte fixed
 header plus a seeded sample of JSON-header and payload positions.
+
+``write_filtered_png`` is a reference PNG encoder that applies any of
+the five scanline filters row by row, since ``write_png`` emits filter 0
+only; the PNG reader must decode its files exactly.
 """
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -47,12 +52,87 @@ def gradient_image(shape, maxval) -> np.ndarray:
     return (np.arange(np.prod(shape)).reshape(shape) * 37 % (maxval + 1)).astype(np.int64)
 
 
+def _paeth(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def _filter_row(filter_type: int, row: bytes, prior: bytes, bpp: int) -> bytes:
+    """One scanline filtered as the PNG specification defines it; filter 5,
+    which no decoder accepts, stores the row as is."""
+    out = bytearray([filter_type])
+    for i, x in enumerate(row):
+        a = row[i - bpp] if i >= bpp else 0
+        b = prior[i]
+        c = prior[i - bpp] if i >= bpp else 0
+        predictor = (0, a, b, (a + b) // 2, _paeth(a, b, c), 0)[filter_type]
+        out.append((x - predictor) % 256)
+    return bytes(out)
+
+
+def write_filtered_png(path, image: np.ndarray, filters) -> None:
+    """Gray8, gray16 or RGB8 PNG whose row ``y`` uses filter ``filters[y % len(filters)]``."""
+    color_type, channels = (2, 3) if image.ndim == 3 else (0, 1)
+    depth = 16 if image.dtype == np.uint16 else 8
+    height, width = image.shape[:2]
+    stride = width * channels * depth // 8
+    data = image.astype(">u2" if depth == 16 else np.uint8).tobytes()
+    prior, raw = bytes(stride), bytearray()
+    for y in range(height):
+        row = data[y * stride : (y + 1) * stride]
+        raw += _filter_row(filters[y % len(filters)], row, prior, channels * depth // 8)
+        prior = row
+
+    def chunk(tag: bytes, payload: bytes) -> bytes:
+        return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", zlib.crc32(tag + payload))
+
+    ihdr = struct.pack(">IIBBBBB", width, height, depth, color_type, 0, 0, 0)
+    path.write_bytes(
+        b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b"")
+    )
+
+
+def write_mixed_filter_png(path, image: np.ndarray) -> None:
+    write_filtered_png(path, image, (0, 1, 2, 3, 4))
+
+
+FILTERED_IMAGES = {
+    "gray8": np.random.default_rng(30).integers(0, 256, (9, 11)).astype(np.uint8),
+    "gray16": np.random.default_rng(31).integers(0, 65536, (9, 7)).astype(np.uint16),
+    "rgb8": np.random.default_rng(32).integers(0, 256, (9, 6, 3)).astype(np.uint8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILTERED_IMAGES))
+@pytest.mark.parametrize("filters", [(0,), (1,), (2,), (3,), (4,), (0, 1, 2, 3, 4), (4, 2, 3, 1)], ids=str)
+def test_png_filters_decode_exactly(tmp_path, kind, filters):
+    image = FILTERED_IMAGES[kind]
+    write_filtered_png(tmp_path / "f.png", image, filters)
+    arr, maxval = read_png(tmp_path / "f.png")
+    assert maxval == (65535 if image.dtype == np.uint16 else 255)
+    assert arr.dtype == image.dtype
+    np.testing.assert_array_equal(arr, image)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_png_unknown_filter_rejected(tmp_path, width):
+    write_filtered_png(tmp_path / "f.png", np.zeros((3, width), dtype=np.uint8), (0, 5))
+    with pytest.raises(DataError, match="filter type 5"):
+        read_png(tmp_path / "f.png")
+
+
 @pytest.mark.parametrize(
     "write, load, image",
     [
         pytest.param(write_pgm, read_pgm, gradient_image((8, 8), 255), id="pgm_8x8_p5"),
         pytest.param(write_png, read_png, gradient_image((8, 8), 255).astype(np.uint8), id="png_8x8_8bit"),
         pytest.param(write_png, read_png, gradient_image((5, 6), 65535).astype(np.uint16), id="png_5x6_16bit"),
+        pytest.param(
+            write_mixed_filter_png, read_png, gradient_image((5, 6), 255).astype(np.uint8), id="png_5x6_mixed_filters"
+        ),
     ],
 )
 def test_image_every_truncation_and_flip(tmp_path, write, load, image):

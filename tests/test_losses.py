@@ -63,9 +63,9 @@ def chi_with_fractions(fractions, total=10_000):
 class TestLossConfig:
     def test_pairings(self):
         ce = LossConfig("cross_entropy")
-        assert ce.head == "softmax" and ce.encoding == "entropy"
+        assert ce.head == "softmax"
         dc = LossConfig("dice")
-        assert dc.head == "sigmoid" and dc.encoding == "dice"
+        assert dc.head == "sigmoid"
 
     def test_unknown_distance_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,6 @@ from fcxs.data import (
     build_groundtruth,
     compute_norm_stats,
     normalize_samples,
-    organ_masks,
     synth_generate,
 )
 from fcxs.errors import ConfigError
@@ -42,16 +41,6 @@ def tiny_net(arch="invertednet", head="sigmoid", seed=0):
         init_seed=seed,
     )
     return build_network(cfg)
-
-
-class TestOrganMasks:
-    def test_dice_encoding_passthrough(self, tiny_dataset):
-        gt = build_groundtruth(tiny_dataset[0], "dice")
-        np.testing.assert_array_equal(organ_masks(gt), gt.channels)
-
-    def test_entropy_encoding_drops_background(self, tiny_dataset):
-        gt = build_groundtruth(tiny_dataset[0], "entropy")
-        np.testing.assert_array_equal(organ_masks(gt), gt.channels[1:])
 
 
 class TestTrainLoop:
@@ -184,16 +173,16 @@ class TestTrainLoop:
 
 
 class NoisyOracle:
-    """The samples' ground truth in the head's encoding plus seeded noise,
+    """The samples' ground truth in the head's target channels plus seeded noise,
     one sample per forward in order, so scores spread inside (0, 1)."""
 
     def __init__(self, samples, head):
         self.config = ArchConfig(arch="unet_original", input_resolution=32, head=head, base_channels=4)
-        encoding = "entropy" if head == "softmax" else "dice"
+        distance = "cross_entropy" if head == "softmax" else "dice"
         rng = np.random.default_rng(7)
         self.probs = []
         for s in samples:
-            channels = build_groundtruth(s, encoding).channels
+            channels = build_groundtruth(s, distance)
             self.probs.append(np.clip(channels + rng.uniform(-0.6, 0.6, channels.shape), 0.01, 0.99))
         self.calls = 0
 
@@ -214,7 +203,7 @@ class TestValidationJaccard:
             def forward(self, image, mode="infer", rng=None):
                 from fcxs.tensor import Tensor
 
-                return Tensor(gt.channels[None].astype(np.float32))
+                return Tensor(gt[None].astype(np.float32))
 
         scores = validation_jaccard(Oracle(), [sample])
         np.testing.assert_allclose(scores, 1.0)
