@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _read_pgm_tokens(path, blob: bytes, count: int) -> tuple[list[int], int]:
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read P5 or P2; returns (2-D uint array, maxval)."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     magic = blob[:2]
     if magic not in (b"P5", b"P2"):
         raise DataError(f"{path}: not a PGM file (magic {magic!r})")
@@ -165,7 +166,7 @@ def _unfilter(raw: bytes, height: int, width: int, bpp: int) -> np.ndarray:
 
 def read_png(path) -> tuple[np.ndarray, int]:
     """Read a PNG; returns (array, maxval). Grayscale gives (H,W), RGB (H,W,3)."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     if blob[:8] != _PNG_SIGNATURE:
         raise DataError(f"{path}: not a PNG file")
     pos = 8
@@ -190,6 +191,8 @@ def read_png(path) -> tuple[np.ndarray, int]:
     if header is None:
         raise DataError(f"{path}: missing IHDR")
     width, height, depth, color_type, _, _, interlace = header
+    if width == 0 or height == 0:
+        raise DataError(f"{path}: PNG size must be positive, got {width}x{height}")
     if interlace:
         raise DataError(f"{path}: interlaced PNG not supported")
     if (color_type, depth) not in ((0, 8), (0, 16), (2, 8)):

@@ -26,10 +26,13 @@ Networks are static step programs.  Each step pairs one ``Layer`` (an
 op closed over the step's parameters, plus its op kind and the text the
 parameter ledger prints) with the steps it reads from, so the forward
 pass is a topologically ordered walk.  The walk releases each
-intermediate tensor after its last reader has run; in training the
-autodiff tape still holds every intermediate for the backward pass,
-while under ``no_grad`` (inference) a skip feature lives only until its
-concatenation.
+intermediate tensor after its last reader has run (``Tensor.release``),
+so a skip feature lives only until its concatenation.  In training the
+autodiff tape keeps only the arrays some backward reads (a conv input,
+an ELU output, a dropout factor), bound in its closures; conv and
+transposed-conv outputs, which only the next activation reads, and
+dropout outputs that only max-pool and concat read, are freed during
+the forward.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ class Network:
             if trace is not None:
                 trace.append((step.name, outputs[idx].shape))
             for src in self._dead_after[idx]:
-                outputs[src] = None
+                _release_step_output(outputs, src, x)
         return outputs[-1]
 
     def zero_grad(self) -> None:
@@ -216,6 +219,16 @@ class Network:
             if arr.shape != p.data.shape:
                 raise DataError(f"parameter {name!r}: shape {arr.shape} != {p.data.shape}")
             p.data = np.ascontiguousarray(arr)
+
+
+def _release_step_output(outputs: list, src: int, x: Tensor) -> None:
+    """Drop ``outputs[src]`` and release its data, unless the tensor is also a
+    live output or the network input: an identity step (dropout at inference
+    or with d = 0) hands its input on as its own output.  The tensor is a
+    local here, so no reference outlives this call."""
+    dead, outputs[src] = outputs[src], None
+    if dead is not x and all(out is not dead for out in outputs):
+        dead.release()
 
 
 # -- builders --------------------------------------------------------------------

@@ -11,15 +11,17 @@ that reads it.  The forward pass builds the columns for a block of whole
 output rows covering at least ``_BLOCK_PIXELS`` output pixels, in one
 workspace (and one zero-bordered band of padded input rows) reused across
 blocks and samples; a 1x1 stride-1 convolution multiplies the input
-directly.  The backward closure keeps only the input, weight and bias,
-which the tape holds anyway, and rebuilds each sample's columns one
-block of input channels at a time, each block capped at
-``_BLOCK_VALUES`` column values: the block's dW columns are
-g[k] @ cols_blk(k).T, summed over samples, while the same buffer then
-takes the block's dcols = W_blk.T @ g[k] for its dX scatter.  Every
-output element is the same dot product, summed in the same order, as a
-whole-batch im2col computes, so on one BLAS build the results match it
-bit for bit.
+directly.  The backward closure keeps only the input and weight arrays
+and rebuilds each sample's columns one block of input channels at a
+time, each block capped at ``_BLOCK_VALUES`` column values: the block's
+dW columns are g[k] @ cols_blk(k).T, summed over samples, while the
+same buffer then takes the block's dcols = W_blk.T @ g[k] for its dX
+scatter.  Every output element is the same dot product, summed in the
+same order, as a whole-batch im2col computes, so on one BLAS build the
+results match it bit for bit.
+
+Every backward closure binds the arrays it reads when its op runs, so a
+parent's ``data`` may be released after the forward (``Tensor.release``).
 """
 
 from __future__ import annotations
@@ -90,13 +92,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho, pt, pb = _same_padding(h, kh, stride)
     wo, pl, pr = _same_padding(w, kw, stride)
     k_dim = c * kh * kw
-    w_mat = weight.data.reshape(f, k_dim)
+    xd, w_mat = x.data, weight.data.reshape(f, k_dim)
     out = np.empty((n, f, ho, wo), dtype=x.dtype)
     out_mat = out.reshape(n, f, ho * wo)
     direct = kh == 1 and stride == 1  # the input is its own column matrix
     if direct:
         for k in range(n):
-            np.matmul(w_mat, x.data[k].reshape(c, h * w), out=out_mat[k])
+            np.matmul(w_mat, xd[k].reshape(c, h * w), out=out_mat[k])
     else:
         rows = min(ho, -(-_BLOCK_PIXELS // wo))
         band = np.zeros((c, stride * (rows - 1) + kh, w + pl + pr), dtype=x.dtype)
@@ -105,7 +107,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             for r0 in range(0, ho, rows):
                 r1 = min(r0 + rows, ho)
                 cols = workspace[: k_dim * (r1 - r0) * wo].reshape(c, kh, kw, r1 - r0, wo)
-                cols = _im2col(cols, band, x.data[k], r0, stride, pt, pl)
+                cols = _im2col(cols, band, xd[k], r0, stride, pt, pl)
                 np.matmul(w_mat, cols, out=out_mat[k, :, r0 * wo : r1 * wo])
     out += bias.data.reshape(1, f, 1, 1)
 
@@ -133,9 +135,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                 cols = workspace[: (r1 - r0) * ho * wo].reshape(c1 - c0, kh, kw, ho, wo)
                 if dw is not None:
                     if direct:
-                        cols_k = x.data[k].reshape(c, h * w)
+                        cols_k = xd[k].reshape(c, h * w)
                     else:
-                        cols_k = _im2col(cols, band[: c1 - c0], x.data[k, c0:c1], 0, stride, pt, pl)
+                        cols_k = _im2col(cols, band[: c1 - c0], xd[k, c0:c1], 0, stride, pt, pl)
                     term = g_mat[k] @ cols_k.T
                     dw_blk = dw.reshape(f, k_dim)[:, r0:r1]
                     if k == 0:
@@ -177,7 +179,8 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"transposed_conv2d: bias shape {bias.shape} does not match {f} filters")
 
     # stride == kernel, so scattered patches never overlap
-    out6 = np.einsum("nchw,cfij->nfhiwj", x.data, weight.data, optimize=True)
+    xd, wd = x.data, weight.data
+    out6 = np.einsum("nchw,cfij->nfhiwj", xd, wd, optimize=True)
     out = out6.reshape(n, f, 2 * h, 2 * w) + bias.data.reshape(1, f, 1, 1)
 
     def backward(grad: np.ndarray) -> None:
@@ -185,9 +188,9 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            weight.accumulate_grad(np.einsum("nfhiwj,nchw->cfij", g6, x.data, optimize=True))
+            weight.accumulate_grad(np.einsum("nfhiwj,nchw->cfij", g6, xd, optimize=True))
         if x.requires_grad:
-            x.accumulate_grad(np.einsum("nfhiwj,cfij->nchw", g6, weight.data, optimize=True))
+            x.accumulate_grad(np.einsum("nfhiwj,cfij->nchw", g6, wd, optimize=True))
 
     return make_op(out, (x, weight, bias), backward, "transposed_conv2d")
 
@@ -234,11 +237,12 @@ def maxpool2d(x: Tensor, stride: int = 2) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
+    xd = x.data
+    out = np.maximum(xd, 0)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(grad * (x.data > 0))
+            x.accumulate_grad(grad * (xd > 0))
 
     return make_op(out, (x,), backward, "relu")
 
@@ -276,7 +280,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             # sigmoid'(x) = sigmoid'(-x) = e / (1 + e)^2 with e = exp(-|x|)
-            e = np.exp(-np.abs(x.data))
+            e = np.exp(-np.abs(d))
             x.accumulate_grad(grad * (e / ((1 + e) * (1 + e))))
 
     return make_op(out, (x,), backward, "sigmoid")

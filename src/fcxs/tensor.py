@@ -10,11 +10,18 @@ reverse and accumulates gradients.
 ``backward`` consumes the graph it walks.  As soon as a node's backward
 closure has run, the node drops its gradient, closure and parents and
 stops requiring a gradient, so an intermediate that no caller holds is
-freed halfway through the walk.
-Leaves and parameters keep their gradients, and every node keeps its
-``data``: a network output or loss that the caller holds stays
-readable.  A second ``backward`` on a consumed graph raises
+freed halfway through the walk.  Leaves and parameters keep their
+gradients.  A second ``backward`` on a consumed graph raises
 ``GraphStateError``.
+
+A backward closure binds, when its op runs, the arrays its backward
+reads (an input, an operand, its own output, a noise factor or only a
+shape) and keeps its parent tensors only to ask ``requires_grad`` and
+to call ``accumulate_grad``.  So a node's ``data`` is needed only by
+later forward reads: ``release`` swaps it for a NaN placeholder once
+those are done, and an array that some backward reads lives on in that
+closure alone.  ``Network.forward`` releases each step output after its
+last reader; the output or loss the caller holds keeps its data.
 
 Reductions delegate to numpy's pairwise summation, which has a fixed
 order for a given build, so repeated runs on one machine are
@@ -130,6 +137,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def release(self) -> None:
+        """Free ``data`` for the forward: keep its shape and dtype in a read-only,
+        zero-strided NaN array, so a backward that still read it would fail the
+        gradient finiteness check."""
+        self.data = np.broadcast_to(np.array(np.nan, dtype=self.data.dtype), self.data.shape)
+
     def graph_nodes(self) -> list["Tensor"]:
         """All tensors reachable from this one, parents before children."""
         order: list[Tensor] = []
@@ -221,13 +234,14 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     if a.shape != b.shape and a.size != 1 and b.size != 1:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data * b.data
+    ad, bd = a.data, b.data
+    out_data = ad * bd
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_reduce_to(grad * b.data, a.shape))
+            a.accumulate_grad(_reduce_to(grad * bd, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_reduce_to(grad * a.data, b.shape))
+            b.accumulate_grad(_reduce_to(grad * ad, b.shape))
 
     return make_op(out_data, (a, b), backward, "mul")
 
@@ -236,25 +250,27 @@ def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     if a.shape != b.shape and a.size != 1 and b.size != 1:
         raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = a.data / b.data
+        out_data = ad / bd
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_reduce_to(grad / b.data, a.shape))
+            a.accumulate_grad(_reduce_to(grad / bd, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_reduce_to(-grad * a.data / (b.data * b.data), b.shape))
+            b.accumulate_grad(_reduce_to(-grad * ad / (bd * bd), b.shape))
 
     return make_op(out_data, (a, b), backward, "div")
 
 
 def log(x: Tensor) -> Tensor:
+    xd = x.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(x.data)
+        out_data = np.log(xd)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(grad / x.data)
+            x.accumulate_grad(grad / xd)
 
     return make_op(out_data, (x,), backward, "log")
 
@@ -274,10 +290,11 @@ def clip(x: Tensor, low: float, high: float) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     """Full reduction to a scalar tensor (numpy pairwise summation order)."""
     out_data = np.asarray(x.data.sum(), dtype=x.dtype).reshape(())
+    shape = x.shape
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, grad))
+            x.accumulate_grad(np.full(shape, grad, dtype=out_data.dtype))
 
     return make_op(out_data, (x,), backward, "sum")
 

@@ -12,7 +12,9 @@ the five scanline filters row by row, since ``write_png`` emits filter 0
 only; the PNG reader must decode its files exactly.
 """
 
+import gc
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -173,3 +175,25 @@ def test_checkpoint_header_and_sampled_payload(tmp_path):
     )
     rejected = assert_loads_or_data_error(load_checkpoint, tmp_path / "variant.fcxs", data, positions)
     assert rejected >= len(positions)  # at least every truncation is rejected
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)], ids=["0x0", "0x4", "4x0"])
+def test_png_zero_size_rejected(tmp_path, shape):
+    path = tmp_path / "empty.png"
+    write_filtered_png(path, np.zeros(shape, dtype=np.uint8), (0,))
+    with pytest.raises(DataError, match="size must be positive") as exc:
+        read_png(path)
+    assert str(path) in str(exc.value)
+
+
+def test_readers_close_their_files(tmp_path):
+    write_pgm(tmp_path / "a.pgm", gradient_image((4, 4), 255))
+    write_png(tmp_path / "a.png", gradient_image((4, 4), 255).astype(np.uint8))
+    # an unclosed file warns from its finalizer, where an "error" filter's
+    # exception would be swallowed, so the warnings are recorded instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        read_pgm(tmp_path / "a.pgm")
+        read_png(tmp_path / "a.png")
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -23,7 +24,7 @@ from fcxs.models import (
     save_checkpoint,
 )
 from fcxs.rng import Rng
-from fcxs.tensor import Tensor
+from fcxs.tensor import Tensor, no_grad
 
 REFERENCE_ALL_DROPOUT_PARAMS = 31_377_988
 REFERENCE_INVERTEDNET_PARAMS = 3_140_771
@@ -312,14 +313,13 @@ class TestForwardSemantics:
             assert p.grad.shape == p.data.shape
 
 
-def _traced_peak_bytes(fn) -> int:
-    """Peak bytes allocated while ``fn`` runs, above what was live before."""
+def _retained_bytes(fn) -> int:
+    """Bytes ``fn`` leaves allocated while its result is held."""
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
+        result = fn()  # noqa: F841  (held while the allocation is read)
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
 
@@ -374,11 +374,81 @@ class TestTapeFreeInference:
             assert alive == {i for i in range(idx) if last_reader[i] >= idx}, net.steps[idx].name
 
     def test_peak_memory_below_half_of_recording_forward(self):
+        # a recording forward's output holds its tape (conv inputs, activations);
+        # one under no_grad, as organ_probabilities runs it, holds only the maps
         net = build_network(ArchConfig(arch="invertednet", input_resolution=64, base_channels=32, init_seed=1))
         x = Rng(1).normal((1, 1, 64, 64))
-        recording = _traced_peak_bytes(lambda: net.forward(x, mode="infer"))
-        tape_free = _traced_peak_bytes(lambda: organ_probabilities(net, x))
+        recording = _retained_bytes(lambda: net.forward(x, mode="infer"))
+        with no_grad():
+            tape_free = _retained_bytes(lambda: net.forward(x, mode="infer"))
         assert tape_free < recording / 2, (tape_free, recording)
+
+
+class TestTrainingTape:
+    """A recording forward frees every step output that no backward reads."""
+
+    def test_unread_arrays_freed_before_backward(self):
+        from fcxs import tensor as T
+
+        net = build_network(small_config("invertednet", init_seed=14))
+        outs, conv_inputs, factors = {}, [], []
+        for step in net.steps:
+
+            def forward(xs, mode, rng, layer_forward=step.layer.forward, step=step):
+                if step.layer.kind == "conv":
+                    conv_inputs.append(weakref.ref(xs[0].data))
+                out = layer_forward(xs, mode, rng)
+                outs[step.name] = weakref.ref(out.data)
+                return out
+
+            step.layer.forward = forward
+
+        class RecordingRng(Rng):
+            def normal(self, shape, dtype=np.float32):
+                factor = super().normal(shape, dtype)
+                factors.append(weakref.ref(factor))
+                return factor
+
+        out = net.forward(Rng(14).normal((2, 1, 16, 16)), mode="train", rng=RecordingRng(15))
+        gc.collect()
+        readers = {
+            step.name: {net.steps[j].layer.kind for j, s in enumerate(net.steps) if i in s.inputs}
+            for i, step in enumerate(net.steps)
+        }
+        by_kind = {}
+        for step in net.steps:
+            by_kind.setdefault(step.layer.kind, []).append(step.name)
+        # conv and transposed-conv outputs are read only by the ELU that follows
+        # (the head's conv feeds the sigmoid, whose backward reads its input)
+        freed = [n for n in by_kind["conv"] + by_kind["transposed_conv"] if n != "head"]
+        # skip and up dropout outputs are read only by max-pool and concat
+        freed += [n for n in by_kind["dropout"] if readers[n] <= {"maxpool", "concat"}]
+        assert len(freed) == 18 + 4 + 4 + 4  # convs, transposed convs, skip and up dropouts
+        assert [n for n in freed if outs[n]() is not None] == []
+        elu_outputs = [n for n in by_kind["activation"] if n != "head.sigmoid"]
+        assert [n for n in elu_outputs if outs[n]() is None] == []
+        assert len(factors) == len(by_kind["dropout"]) and all(ref() is not None for ref in factors)
+        assert len(conv_inputs) == 19 and all(ref() is not None for ref in conv_inputs)
+        T.tsum(out).backward()
+        for name, p in net.parameters():
+            assert p.grad is not None and np.isfinite(p.grad).all(), name
+
+    @pytest.mark.parametrize("arch", ["all_dropout", "invertednet"])
+    def test_zero_drop_train_forward_matches_unreleased(self, arch, monkeypatch):
+        # with d = 0 each dropout step hands its input on as its own output, so
+        # one tensor is the output of two steps and must outlive both readers
+        from fcxs import tensor as T
+
+        def run():
+            net = build_network(small_config(arch, drop_probability=0.0, init_seed=16))
+            out = net.forward(Rng(16).normal((2, 1, 16, 16)), mode="train", rng=Rng(17))
+            T.tsum(out).backward()
+            return [out.data] + [p.grad for _, p in net.parameters()]
+
+        released = run()
+        monkeypatch.setattr(Tensor, "release", lambda self: None)
+        for got, want in zip(released, run(), strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestCheckpoints:

@@ -570,3 +570,71 @@ class TestConcatChannels:
         np.testing.assert_allclose(a.grad, numeric_gradient(loss, a, h=1e-4), atol=1e-9)
         np.testing.assert_allclose(b.grad, numeric_gradient(loss, b, h=1e-4), atol=1e-9)
         np.testing.assert_array_equal(a.grad, np.ones_like(a.data))
+
+
+# -- released parents ----------------------------------------------------------------
+
+
+def _positive(shape, seed):
+    return np.abs(Rng(seed).normal(shape)) + 0.5
+
+
+# every op in ops and tensor as (fn, input arrays); each input is a parent
+_NCHW = (2, 3, 6, 5)
+_RELEASE_CASES = [
+    pytest.param(T.add, [Rng(1).normal(_NCHW), Rng(2).normal(_NCHW)], id="add"),
+    pytest.param(T.mul, [Rng(1).normal(_NCHW), Rng(2).normal(_NCHW)], id="mul"),
+    pytest.param(T.div, [Rng(1).normal(_NCHW), _positive(_NCHW, 2)], id="div"),
+    pytest.param(T.log, [_positive(_NCHW, 1)], id="log"),
+    pytest.param(lambda x: T.clip(x, -0.5, 0.5), [Rng(1).normal(_NCHW)], id="clip"),
+    pytest.param(T.tsum, [Rng(1).normal(_NCHW)], id="tsum"),
+    *[
+        pytest.param(
+            lambda x, w, b, s=stride: ops.conv2d(x, w, b, stride=s),
+            [Rng(1).normal((2, 3, 7, 6)), Rng(2).normal((4, 3, kernel, kernel)), Rng(3).normal((4,))],
+            id=f"conv2d-k{kernel}-s{stride}",
+        )
+        for kernel in (1, 2, 3)
+        for stride in (1, 2)
+    ],
+    pytest.param(
+        ops.transposed_conv2d,
+        [Rng(1).normal(_NCHW), Rng(2).normal((3, 4, 2, 2)), Rng(3).normal((4,))],
+        id="transposed_conv2d",
+    ),
+    pytest.param(lambda x: ops.maxpool2d(x, stride=1), [Rng(1).normal(_NCHW)], id="maxpool2d-s1"),
+    pytest.param(lambda x: ops.maxpool2d(x, stride=2), [Rng(1).normal((2, 3, 6, 4))], id="maxpool2d-s2"),
+    pytest.param(ops.relu, [Rng(1).normal(_NCHW)], id="relu"),
+    pytest.param(ops.elu, [Rng(1).normal(_NCHW)], id="elu"),
+    pytest.param(ops.sigmoid, [Rng(1).normal(_NCHW)], id="sigmoid"),
+    pytest.param(ops.softmax_channels, [Rng(1).normal(_NCHW)], id="softmax_channels"),
+    pytest.param(lambda x: ops.gaussian_dropout(x, 0.3, "train", Rng(4)), [Rng(1).normal(_NCHW)], id="gaussian_dropout"),
+    pytest.param(ops.sum_per_channel, [Rng(1).normal(_NCHW)], id="sum_per_channel"),
+    pytest.param(ops.concat_channels, [Rng(1).normal(_NCHW), Rng(2).normal((2, 2, 6, 5))], id="concat_channels"),
+]
+
+
+@pytest.mark.parametrize("op, arrays", _RELEASE_CASES)
+def test_backward_reads_no_released_parent(op, arrays):
+    """Each backward binds the arrays it reads when the op runs, so releasing
+    every parent's data after the forward leaves every gradient unchanged."""
+
+    def gradients(release: bool) -> list:
+        parents = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*parents)
+        if release:
+            for p in parents:
+                p.release()
+        upstream = Rng(5).normal(out.shape, dtype=out.dtype)
+        T.tsum(T.mul(out, Tensor(upstream))).backward()
+        return [p.grad for p in parents]
+
+    for got, want in zip(gradients(release=True), gradients(release=False), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_released_data_is_a_read_only_nan_placeholder():
+    x = Tensor(np.ones((2, 3), dtype=np.float64))
+    x.release()
+    assert x.shape == (2, 3) and x.dtype == np.float64
+    assert np.isnan(x.data).all() and not x.data.flags.writeable and x.data.strides == (0, 0)
