@@ -388,6 +388,16 @@ class TestLoadDataset:
             loaded = load_dataset(tmp_path, 32)
         assert len(loaded) == 3
 
+    def test_zero_size_png_image_reported_and_skipped(self, tmp_path):
+        samples = synth_generate(2, 32, seed=16)
+        save_dataset(samples, tmp_path)
+        image = tmp_path / "images" / f"{samples[0].id}.pgm"
+        image.unlink()  # the sample keeps its masks, so only the image is wrong
+        write_png(image.with_suffix(".png"), np.zeros((0, 0), dtype=np.uint8))
+        with pytest.warns(UserWarning, match="size must be positive"):
+            loaded = load_dataset(tmp_path, 32)
+        assert [s.id for s in loaded] == [samples[1].id]
+
     def test_malformed_png_reported_and_skipped(self, tmp_path):
         samples = synth_generate(2, 32, seed=16)
         save_dataset(samples, tmp_path)

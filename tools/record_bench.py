@@ -3,7 +3,7 @@
 Runs ``python3 benchmarks/run.py`` unchanged, one process per (workload,
 seed, trace), and keeps the last JSON line of each run:
 
-    python3 tools/record_bench.py --pr 16 --seeds 1601 1602 1603 1604 1605 1606
+    python3 tools/record_bench.py --pr <n> --seeds 1 2 3 4 5 6
 
 For every workload the file holds the median and quartiles of each
 end-to-end metric over the seeds, every run's ``correct``, ``attempted``
