@@ -22,6 +22,8 @@ results match it bit for bit.
 
 Every backward closure binds the arrays it reads when its op runs, so a
 parent's ``data`` may be released after the forward (``Tensor.release``).
+A new op needs a case in ``tests/test_ops.py``'s ``_RELEASE_CASES``: a
+backward that compared released data would not fail any finiteness check.
 """
 
 from __future__ import annotations

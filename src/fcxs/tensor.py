@@ -20,7 +20,9 @@ shape) and keeps its parent tensors only to ask ``requires_grad`` and
 to call ``accumulate_grad``.  So a node's ``data`` is needed only by
 later forward reads: ``release`` swaps it for a NaN placeholder once
 those are done, and an array that some backward reads lives on in that
-closure alone.  ``Network.forward`` releases each step output after its
+closure alone.  The placeholder catches only arithmetic reads (a
+comparison with NaN is False, not NaN), so each op is checked against
+released parents in ``tests/test_ops.py``.  ``Network.forward`` releases each step output after its
 last reader; the output or loss the caller holds keeps its data.
 
 Reductions delegate to numpy's pairwise summation, which has a fixed
@@ -139,8 +141,10 @@ class Tensor:
 
     def release(self) -> None:
         """Free ``data`` for the forward: keep its shape and dtype in a read-only,
-        zero-strided NaN array, so a backward that still read it would fail the
-        gradient finiteness check."""
+        zero-strided NaN array.  A backward that still did arithmetic on it
+        would fail the gradient finiteness check, but one that compared it
+        (a mask from ``data > 0``) would get finite, wrong gradients; the
+        guard for every op is ``test_backward_reads_no_released_parent``."""
         self.data = np.broadcast_to(np.array(np.nan, dtype=self.data.dtype), self.data.shape)
 
     def graph_nodes(self) -> list["Tensor"]:

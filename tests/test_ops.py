@@ -4,6 +4,7 @@ The oracles here are deliberately naive (python loops over pixels) and
 share no code with the library implementations they check.
 """
 
+import inspect
 import math
 import tracemalloc
 
@@ -579,7 +580,11 @@ def _positive(shape, seed):
     return np.abs(Rng(seed).normal(shape)) + 0.5
 
 
-# every op in ops and tensor as (fn, input arrays); each input is a parent
+# every op in ops and tensor as (fn, input arrays); each input is a parent.
+# The NaN placeholder of a released parent shows up only in arithmetic: a
+# backward that compared released data (a mask from ``x.data > 0``) would
+# give finite, wrong gradients, so this test is the guard, and every new op
+# needs a case here (test_release_cases_cover_every_op).
 _NCHW = (2, 3, 6, 5)
 _RELEASE_CASES = [
     pytest.param(T.add, [Rng(1).normal(_NCHW), Rng(2).normal(_NCHW)], id="add"),
@@ -631,6 +636,18 @@ def test_backward_reads_no_released_parent(op, arrays):
 
     for got, want in zip(gradients(release=True), gradients(release=False), strict=True):
         assert np.array_equal(got, want)
+
+
+def test_release_cases_cover_every_op():
+    """Every function in ops and tensor that builds a tape node has a case above."""
+    covered = {case.id.split("-")[0] for case in _RELEASE_CASES}
+    building = set()
+    for module in (ops, T):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and name != "make_op":
+                if "make_op(" in inspect.getsource(fn):
+                    building.add(name)
+    assert building == covered
 
 
 def test_released_data_is_a_read_only_nan_placeholder():

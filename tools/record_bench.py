@@ -5,11 +5,11 @@ seed, trace), and keeps the last JSON line of each run:
 
     python3 tools/record_bench.py --pr <n> --seeds 1 2 3 4 5 6
 
-For every workload the file holds the median and quartiles of each
-end-to-end metric over the seeds, every run's ``correct``, ``attempted``
-and ``failed`` (a run that crashed is recorded with ``correct`` false and
-its exit code, never dropped) and the per-layer metrics of one traced run
-on the first seed.  The environment (git revision, thread count, numpy
+It runs every workload in ``BENCHMARK.json``.  For each workload the
+file holds the median and quartiles of each end-to-end metric over the
+seeds, every run's ``correct``, ``attempted`` and ``failed`` (a run that
+crashed is recorded with ``correct`` false and its exit code, never
+dropped) and the per-layer metrics of one traced run on the first seed.  The environment (git revision, thread count, numpy
 and BLAS versions) comes from ``git`` and from the ``#`` lines run.py
 prints.
 """
@@ -61,8 +61,9 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def record(pr: int, seeds: list[int], workloads: list[str]) -> dict:
+def record(pr: int, seeds: list[int]) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
     dirty = bool(subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True, text=True).stdout)
     environments = []
@@ -100,10 +101,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number n in BENCH_<n>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
     args = parser.parse_args(argv)
-    workloads = args.workloads or [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    result = record(args.pr, args.seeds, workloads)
+    result = record(args.pr, args.seeds)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)
