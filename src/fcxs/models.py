@@ -28,11 +28,13 @@ parameter ledger prints) with the steps it reads from, so the forward
 pass is a topologically ordered walk.  The walk releases each
 intermediate tensor after its last reader has run (``Tensor.release``),
 so a skip feature lives only until its concatenation.  In training the
-autodiff tape keeps only the arrays some backward reads (a conv input,
-an ELU output, a dropout factor), bound in its closures; conv and
-transposed-conv outputs, which only the next activation reads, and
-dropout outputs that only max-pool and concat read, are freed during
-the forward.
+autodiff tape keeps only the arrays some backward reads, bound in its
+closures: ELU outputs, dropout factors, max-pool winners and the conv
+inputs that are the network input or a max-pool output.  Conv and
+transposed-conv outputs, which only the next activation reads, are freed
+during the forward, and so are dropout and concat outputs: a conv or
+transposed conv that reads one rebuilds it in its backward from the ELU
+outputs and factors (``tensor.saved``).
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class Network:
     def param_kinds(self) -> dict[str, str]:
         return {f"{step.name}.{suffix}": step.layer.kind for step in self.steps for suffix, _ in step.layer.params}
 
-    def forward(self, x, mode: str = "infer", rng: Optional[Rng] = None, trace: Optional[list] = None) -> Tensor:
+    def forward(self, x, mode: str = "infer", rng: Optional[Rng] = None) -> Tensor:
         if mode not in ("train", "infer"):
             raise ConfigError(f"forward mode must be 'train' or 'infer', got {mode!r}")
         if not isinstance(x, Tensor):
@@ -198,8 +200,6 @@ class Network:
         for idx, step in enumerate(self.steps):
             xs = [x if i == -1 else outputs[i] for i in step.inputs]
             outputs[idx] = step.layer.forward(xs, mode, rng)
-            if trace is not None:
-                trace.append((step.name, outputs[idx].shape))
             for src in self._dead_after[idx]:
                 _release_step_output(outputs, src, x)
         return outputs[-1]

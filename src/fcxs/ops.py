@@ -11,19 +11,25 @@ that reads it.  The forward pass builds the columns for a block of whole
 output rows covering at least ``_BLOCK_PIXELS`` output pixels, in one
 workspace (and one zero-bordered band of padded input rows) reused across
 blocks and samples; a 1x1 stride-1 convolution multiplies the input
-directly.  The backward closure keeps only the input and weight arrays
-and rebuilds each sample's columns one block of input channels at a
-time, each block capped at ``_BLOCK_VALUES`` column values: the block's
-dW columns are g[k] @ cols_blk(k).T, summed over samples, while the
-same buffer then takes the block's dcols = W_blk.T @ g[k] for its dX
-scatter.  Every output element is the same dot product, summed in the
-same order, as a whole-batch im2col computes, so on one BLAS build the
-results match it bit for bit.
+directly.  The backward closure keeps the weight array and ``saved(x)``,
+which rebuilds a dropout or concat input just before the dW read and
+hands any other input back as is.  It rebuilds each sample's columns
+one block of input channels at a time, each block capped at
+``_BLOCK_VALUES`` column values: the block's dW columns are
+g[k] @ cols_blk(k).T, summed over samples, while the same buffer then
+takes the block's dcols = W_blk.T @ g[k] for its dX scatter.  The 1x1
+stride-1 case needs no columns: dW sums g[k] @ x[k].T and
+dX[k] = W.T @ g[k] is written straight into dX.  Every output element is
+the same dot product, summed in the same order, as a whole-batch im2col
+computes, so on one BLAS build the results match it bit for bit.
 
-Every backward closure binds the arrays it reads when its op runs, so a
-parent's ``data`` may be released after the forward (``Tensor.release``).
-A new op needs a case in ``tests/test_ops.py``'s ``_RELEASE_CASES``: a
-backward that compared released data would not fail any finiteness check.
+Every backward closure binds the arrays it reads, or their recompute,
+when its op runs, so a parent's ``data`` may be released after the
+forward (``Tensor.release``).  Dropout and concat register a recompute
+of their output (``make_op(recompute=...)``), the same multiply or copy
+of the same arrays.  A new op needs a case in ``tests/test_ops.py``'s
+``_RELEASE_CASES``: a backward that compared released data would not
+fail any finiteness check.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .rng import Rng
-from .tensor import Tensor, make_op
+from .tensor import Tensor, make_op, saved
 
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
 # conv2d forward builds its columns for blocks of whole output rows that
@@ -76,6 +82,14 @@ def _im2col(
     return cols.reshape(c * kh * kw, rows * wo)
 
 
+def _add_term(dst: np.ndarray, term: np.ndarray, k: int) -> None:
+    """Sum dW's per-sample terms in sample order: the first is copied in."""
+    if k == 0:
+        dst[...] = term
+    else:
+        dst += term
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Same-padded 2-D convolution of (N,C,H,W) with (F,C,kh,kw) weights."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -112,6 +126,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                 cols = _im2col(cols, band, xd[k], r0, stride, pt, pl)
                 np.matmul(w_mat, cols, out=out_mat[k, :, r0 * wo : r1 * wo])
     out += bias.data.reshape(1, f, 1, 1)
+    read_x = saved(x)
 
     def backward(grad: np.ndarray) -> None:
         g_mat = grad.reshape(n, f, ho * wo)
@@ -119,42 +134,41 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3)))
         if not (weight.requires_grad or x.requires_grad):
             return
-        # the direct path has no columns to split and stays one block: a
-        # 1-channel block there is a width-1 GEMM, which BLAS may sum in
-        # another order than the full product
-        step = c if direct else max(1, min(c, _BLOCK_VALUES // (kh * kw * ho * wo)))
-        padded = (step, h + pt + pb, w + pl + pr)
-        # one block's columns for dW, then the same buffer holds its dcols
-        workspace = np.empty(step * kh * kw * ho * wo, dtype=x.dtype)
-        band = np.zeros(padded, dtype=x.dtype) if weight.requires_grad and not direct else None
-        dxp = np.empty(padded, dtype=x.dtype) if x.requires_grad else None
+        # rebuilt before the gradients are allocated, so its transients do not stack on them
+        x_in = read_x() if weight.requires_grad else None
         dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
         dw = np.empty(weight.shape, dtype=x.dtype) if weight.requires_grad else None
-        for k in range(n):
-            for c0 in range(0, c, step):
-                c1 = min(c0 + step, c)
-                r0, r1 = c0 * kh * kw, c1 * kh * kw
-                cols = workspace[: (r1 - r0) * ho * wo].reshape(c1 - c0, kh, kw, ho, wo)
+        dw_mat = None if dw is None else dw.reshape(f, k_dim)
+        if direct:  # the input is its own column matrix: no workspace, no scatter
+            for k in range(n):
                 if dw is not None:
-                    if direct:
-                        cols_k = xd[k].reshape(c, h * w)
-                    else:
-                        cols_k = _im2col(cols, band[: c1 - c0], xd[k, c0:c1], 0, stride, pt, pl)
-                    term = g_mat[k] @ cols_k.T
-                    dw_blk = dw.reshape(f, k_dim)[:, r0:r1]
-                    if k == 0:
-                        dw_blk[...] = term
-                    else:
-                        dw_blk += term
+                    _add_term(dw_mat, g_mat[k] @ x_in[k].reshape(c, h * w).T, k)
                 if dx is not None:
-                    dcols = np.matmul(w_mat[:, r0:r1].T, g_mat[k], out=cols.reshape(r1 - r0, ho * wo))
-                    dcols = dcols.reshape(c1 - c0, kh, kw, ho, wo)
-                    dxp_blk = dxp[: c1 - c0]
-                    dxp_blk.fill(0)
-                    for i in range(kh):
-                        for j in range(kw):
-                            dxp_blk[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
-                    dx[k, c0:c1] = dxp_blk[:, pt : pt + h, pl : pl + w]
+                    np.matmul(w_mat.T, g_mat[k], out=dx[k].reshape(c, h * w))
+        else:
+            step = max(1, min(c, _BLOCK_VALUES // (kh * kw * ho * wo)))
+            padded = (step, h + pt + pb, w + pl + pr)
+            # one block's columns for dW, then the same buffer holds its dcols
+            workspace = np.empty(step * kh * kw * ho * wo, dtype=x.dtype)
+            band = np.zeros(padded, dtype=x.dtype) if dw is not None else None
+            dxp = np.empty(padded, dtype=x.dtype) if dx is not None else None
+            for k in range(n):
+                for c0 in range(0, c, step):
+                    c1 = min(c0 + step, c)
+                    r0, r1 = c0 * kh * kw, c1 * kh * kw
+                    cols = workspace[: (r1 - r0) * ho * wo].reshape(c1 - c0, kh, kw, ho, wo)
+                    if dw is not None:
+                        cols_k = _im2col(cols, band[: c1 - c0], x_in[k, c0:c1], 0, stride, pt, pl)
+                        _add_term(dw_mat[:, r0:r1], g_mat[k] @ cols_k.T, k)
+                    if dx is not None:
+                        dcols = np.matmul(w_mat[:, r0:r1].T, g_mat[k], out=cols.reshape(r1 - r0, ho * wo))
+                        dcols = dcols.reshape(c1 - c0, kh, kw, ho, wo)
+                        dxp_blk = dxp[: c1 - c0]
+                        dxp_blk.fill(0)
+                        for i in range(kh):
+                            for j in range(kw):
+                                dxp_blk[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
+                        dx[k, c0:c1] = dxp_blk[:, pt : pt + h, pl : pl + w]
         if dw is not None:
             weight.accumulate_grad(dw)
         if dx is not None:
@@ -181,16 +195,17 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"transposed_conv2d: bias shape {bias.shape} does not match {f} filters")
 
     # stride == kernel, so scattered patches never overlap
-    xd, wd = x.data, weight.data
-    out6 = np.einsum("nchw,cfij->nfhiwj", xd, wd, optimize=True)
+    wd = weight.data
+    out6 = np.einsum("nchw,cfij->nfhiwj", x.data, wd, optimize=True)
     out = out6.reshape(n, f, 2 * h, 2 * w) + bias.data.reshape(1, f, 1, 1)
+    read_x = saved(x)
 
     def backward(grad: np.ndarray) -> None:
         g6 = grad.reshape(n, f, h, 2, w, 2)
         if bias.requires_grad:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            weight.accumulate_grad(np.einsum("nfhiwj,nchw->cfij", g6, xd, optimize=True))
+            weight.accumulate_grad(np.einsum("nfhiwj,nchw->cfij", g6, read_x(), optimize=True))
         if x.requires_grad:
             x.accumulate_grad(np.einsum("nfhiwj,cfij->nchw", g6, wd, optimize=True))
 
@@ -333,11 +348,13 @@ def gaussian_dropout(x: Tensor, d: float, mode: str, rng: Optional[Rng] = None) 
     factor *= sigma
     factor += 1.0
 
+    xd = x.data
+
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             x.accumulate_grad(grad * factor)
 
-    return make_op(x.data * factor, (x,), backward, "gaussian_dropout")
+    return make_op(xd * factor, (x,), backward, "gaussian_dropout", recompute=lambda: xd * factor)
 
 
 def sum_per_channel(x: Tensor) -> Tensor:
@@ -361,6 +378,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_channels: incompatible shapes {a.shape} and {b.shape}")
     c_a = a.shape[1]
     out = np.concatenate([a.data, b.data], axis=1)
+    read_a, read_b = saved(a), saved(b)
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
@@ -368,4 +386,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(grad[:, c_a:])
 
-    return make_op(out, (a, b), backward, "concat_channels")
+    return make_op(
+        out, (a, b), backward, "concat_channels", recompute=lambda: np.concatenate([read_a(), read_b()], axis=1)
+    )

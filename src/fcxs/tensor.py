@@ -17,13 +17,18 @@ gradients.  A second ``backward`` on a consumed graph raises
 A backward closure binds, when its op runs, the arrays its backward
 reads (an input, an operand, its own output, a noise factor or only a
 shape) and keeps its parent tensors only to ask ``requires_grad`` and
-to call ``accumulate_grad``.  So a node's ``data`` is needed only by
+to call ``accumulate_grad``.  An op whose output is a cheap elementwise
+function of arrays the tape keeps anyway (a dropout output, a
+concatenation) registers a recompute of it instead, and a consumer that
+reads the output in its backward binds ``saved(x)``: that recompute if
+there is one, else the array.  So a node's ``data`` is needed only by
 later forward reads: ``release`` swaps it for a NaN placeholder once
-those are done, and an array that some backward reads lives on in that
-closure alone.  The placeholder catches only arithmetic reads (a
-comparison with NaN is False, not NaN), so each op is checked against
-released parents in ``tests/test_ops.py``.  ``Network.forward`` releases each step output after its
-last reader; the output or loss the caller holds keeps its data.
+those are done, and what a backward reads lives on in closures alone.
+The placeholder catches only arithmetic reads (a comparison with NaN is
+False, not NaN), so each op is checked against released parents in
+``tests/test_ops.py``.  ``Network.forward`` releases each step output
+after its last reader; the output or loss the caller holds keeps its
+data.
 
 Reductions delegate to numpy's pairwise summation, which has a fixed
 order for a given build, so repeated runs on one machine are
@@ -75,7 +80,7 @@ def _require_finite(data: np.ndarray, what: str) -> None:
 class Tensor:
     """n-dimensional real array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_recompute", "name")
 
     def __init__(
         self,
@@ -95,6 +100,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = parents
         self._backward_fn = backward_fn
+        self._recompute: Optional[Callable[[], np.ndarray]] = None
         self.name = name
 
     # -- basic introspection -------------------------------------------------
@@ -187,7 +193,7 @@ class Tensor:
             if grad is not None:
                 grad.flags.writeable = False
                 node._backward_fn(grad)
-            node.grad = node._backward_fn = None
+            node.grad = node._backward_fn = node._recompute = None
             node._parents = ()
             node.requires_grad = False
 
@@ -203,17 +209,32 @@ def make_op(
     parents: tuple,
     backward_fn: Optional[Callable[[np.ndarray], None]],
     where: str,
+    recompute: Optional[Callable[[], np.ndarray]] = None,
 ) -> Tensor:
     """Wrap an op result, propagating requires_grad and checking finiteness.
 
-    Under ``no_grad()`` the parents and the backward closure are dropped.
+    ``recompute`` rebuilds ``data`` bit for bit from arrays the tape keeps
+    anyway; ``saved`` hands it to consumers.  Under ``no_grad()`` the
+    parents, the backward closure and the recompute are dropped.
     """
     _require_finite(data, f"values produced by {where}")
     needs_grad = _RECORDING and any(p.requires_grad for p in parents)
     if not needs_grad:
-        backward_fn = None
+        backward_fn = recompute = None
         parents = ()
-    return Tensor(data, requires_grad=needs_grad, parents=parents, backward_fn=backward_fn)
+    out = Tensor(data, requires_grad=needs_grad, parents=parents, backward_fn=backward_fn)
+    out._recompute = recompute
+    return out
+
+
+def saved(x: Tensor) -> Callable[[], np.ndarray]:
+    """What a backward binds to read ``x.data`` later: the recompute of the op
+    that made ``x`` if it has one, so ``x`` can be released and rebuilt just
+    before the read, else the array itself."""
+    if x._recompute is not None:
+        return x._recompute
+    data = x.data
+    return lambda: data
 
 
 # -- elementwise and reduction ops used by the losses -------------------------

@@ -197,6 +197,21 @@ class TestParameterCounts:
         assert "total" in text and "enc0.conv0" in text
 
 
+def step_shapes(net, x) -> dict:
+    """Each step's output shape in one forward, read through a wrapper of its layer."""
+    shapes = {}
+    for step in net.steps:
+
+        def forward(xs, mode, rng, layer_forward=step.layer.forward, name=step.name):
+            out = layer_forward(xs, mode, rng)
+            shapes[name] = out.shape
+            return out
+
+        step.layer.forward = forward
+    net.forward(x)
+    return shapes
+
+
 class TestShapes:
     @pytest.mark.parametrize("arch", ["unet_original", "all_dropout", "all_convolutional", "invertednet"])
     @pytest.mark.parametrize("head", ["sigmoid", "softmax"])
@@ -214,32 +229,20 @@ class TestShapes:
 
     def test_bottleneck_is_sixteenth_resolution(self):
         cfg = small_config("unet_original", input_resolution=64)
-        net = build_network(cfg)
-        trace = []
-        net.forward(np.zeros((1, 1, 64, 64), dtype=np.float32), trace=trace)
-        shapes = dict(trace)
+        shapes = step_shapes(build_network(cfg), np.zeros((1, 1, 64, 64), dtype=np.float32))
         assert shapes["enc4.conv1.act"][2:] == (4, 4)
 
     def test_invertednet_first_level_is_widest_at_full_resolution(self):
         cfg = small_config("invertednet", input_resolution=32, base_channels=32)
-        net = build_network(cfg)
-        trace = []
-        net.forward(np.zeros((1, 1, 32, 32), dtype=np.float32), trace=trace)
-        shapes = dict(trace)
+        shapes = step_shapes(build_network(cfg), np.zeros((1, 1, 32, 32), dtype=np.float32))
         assert shapes["enc0.conv1.act"] == (1, 32, 32, 32)
         assert shapes["enc4.conv1.act"] == (1, 2, 2, 2)
 
     def test_all_convolutional_shapes_match_all_dropout(self):
         kw = dict(input_resolution=32, head="sigmoid", base_channels=4)
-        t_drop, t_conv = [], []
-        build_network(ArchConfig(arch="all_dropout", **kw)).forward(
-            np.zeros((1, 1, 32, 32), dtype=np.float32), trace=t_drop
-        )
-        build_network(ArchConfig(arch="all_convolutional", **kw)).forward(
-            np.zeros((1, 1, 32, 32), dtype=np.float32), trace=t_conv
-        )
-        drop_shapes = dict(t_drop)
-        conv_shapes = dict(t_conv)
+        x = np.zeros((1, 1, 32, 32), dtype=np.float32)
+        drop_shapes = step_shapes(build_network(ArchConfig(arch="all_dropout", **kw)), x)
+        conv_shapes = step_shapes(build_network(ArchConfig(arch="all_convolutional", **kw)), x)
         shared = set(drop_shapes) & set(conv_shapes)
         assert {n for n in drop_shapes if ".pool" not in n} <= shared
         for name in shared:
@@ -391,12 +394,12 @@ class TestTrainingTape:
         from fcxs import tensor as T
 
         net = build_network(small_config("invertednet", init_seed=14))
-        outs, conv_inputs, factors = {}, [], []
+        outs, conv_inputs, factors = {}, {}, []
         for step in net.steps:
 
             def forward(xs, mode, rng, layer_forward=step.layer.forward, step=step):
                 if step.layer.kind == "conv":
-                    conv_inputs.append(weakref.ref(xs[0].data))
+                    conv_inputs[step.name] = weakref.ref(xs[0].data)
                 out = layer_forward(xs, mode, rng)
                 outs[step.name] = weakref.ref(out.data)
                 return out
@@ -428,10 +431,53 @@ class TestTrainingTape:
         elu_outputs = [n for n in by_kind["activation"] if n != "head.sigmoid"]
         assert [n for n in elu_outputs if outs[n]() is None] == []
         assert len(factors) == len(by_kind["dropout"]) and all(ref() is not None for ref in factors)
-        assert len(conv_inputs) == 19 and all(ref() is not None for ref in conv_inputs)
+        # a conv reading a dropout or concat output rebuilds it in its backward;
+        # the network input and max-pool outputs it keeps
+        source = {
+            step.name: "input" if step.inputs[0] == -1 else net.steps[step.inputs[0]].layer.kind
+            for step in net.steps
+            if step.layer.kind == "conv"
+        }
+        rebuilt = [n for n, kind in source.items() if kind in ("dropout", "concat")]
+        kept = [n for n, kind in source.items() if kind in ("input", "maxpool")]
+        assert len(conv_inputs) == 19 and (len(rebuilt), len(kept)) == (14, 5)
+        assert [n for n in rebuilt if conv_inputs[n]() is not None] == []
+        assert [n for n in kept if conv_inputs[n]() is None] == []
         T.tsum(out).backward()
         for name, p in net.parameters():
             assert p.grad is not None and np.isfinite(p.grad).all(), name
+
+    def test_backward_clears_recomputes(self):
+        # a dropout or concat output held past backward() must not keep the
+        # ELU output and noise factor its recompute reads
+        from fcxs import tensor as T
+
+        net = build_network(small_config("invertednet", init_seed=18))
+        elu_outputs, factors, held = [], [], []
+        for step in net.steps:
+
+            def forward(xs, mode, rng, layer_forward=step.layer.forward, kind=step.layer.kind):
+                out = layer_forward(xs, mode, rng)
+                if kind in ("dropout", "concat"):
+                    held.append(out)
+                elif kind == "activation" and out.requires_grad:
+                    elu_outputs.append(weakref.ref(out.data))
+                return out
+
+            step.layer.forward = forward
+
+        class RecordingRng(Rng):
+            def normal(self, shape, dtype=np.float32):
+                factor = super().normal(shape, dtype)
+                factors.append(weakref.ref(factor))
+                return factor
+
+        out = net.forward(Rng(18).normal((2, 1, 16, 16)), mode="train", rng=RecordingRng(19))
+        assert len(held) == 22 + 4 and all(t._recompute is not None for t in held)  # dropouts, concats
+        T.tsum(out).backward()
+        gc.collect()
+        assert len(elu_outputs) == 22 + 1 and len(factors) == 22  # the last activation is the head's sigmoid
+        assert [ref for ref in elu_outputs[:-1] + factors if ref() is not None] == []
 
     @pytest.mark.parametrize("arch", ["all_dropout", "invertednet"])
     def test_zero_drop_train_forward_matches_unreleased(self, arch, monkeypatch):

@@ -580,11 +580,17 @@ def _positive(shape, seed):
     return np.abs(Rng(seed).normal(shape)) + 0.5
 
 
+def _dropped(x, seed):
+    return ops.gaussian_dropout(x, 0.3, "train", Rng(seed))
+
+
 # every op in ops and tensor as (fn, input arrays); each input is a parent.
 # The NaN placeholder of a released parent shows up only in arithmetic: a
 # backward that compared released data (a mask from ``x.data > 0``) would
 # give finite, wrong gradients, so this test is the guard, and every new op
-# needs a case here (test_release_cases_cover_every_op).
+# needs a case here (test_release_cases_cover_every_op).  The "-of-" cases
+# feed a conv the output of a dropout, or a concat of two, which the test
+# releases too: the conv's backward reads it rebuilt from its recompute.
 _NCHW = (2, 3, 6, 5)
 _RELEASE_CASES = [
     pytest.param(T.add, [Rng(1).normal(_NCHW), Rng(2).normal(_NCHW)], id="add"),
@@ -616,25 +622,53 @@ _RELEASE_CASES = [
     pytest.param(lambda x: ops.gaussian_dropout(x, 0.3, "train", Rng(4)), [Rng(1).normal(_NCHW)], id="gaussian_dropout"),
     pytest.param(ops.sum_per_channel, [Rng(1).normal(_NCHW)], id="sum_per_channel"),
     pytest.param(ops.concat_channels, [Rng(1).normal(_NCHW), Rng(2).normal((2, 2, 6, 5))], id="concat_channels"),
+    *[
+        pytest.param(
+            lambda x, w, b, s=stride: ops.conv2d(_dropped(x, 4), w, b, stride=s),
+            [Rng(1).normal((2, 3, 7, 6)), Rng(2).normal((4, 3, kernel, kernel)), Rng(3).normal((4,))],
+            id=f"conv2d-k{kernel}-s{stride}-of-dropout",
+        )
+        for kernel, stride in ((1, 1), (3, 1), (3, 2))
+    ],
+    pytest.param(
+        lambda a, b, w, bias: ops.conv2d(ops.concat_channels(_dropped(a, 4), _dropped(b, 6)), w, bias),
+        [Rng(1).normal(_NCHW), Rng(2).normal((2, 2, 6, 5)), Rng(3).normal((4, 5, 3, 3)), Rng(7).normal((4,))],
+        id="conv2d-k3-s1-of-concat-of-dropouts",
+    ),
+    pytest.param(
+        lambda x, w, b: ops.transposed_conv2d(_dropped(x, 4), w, b),
+        [Rng(1).normal(_NCHW), Rng(2).normal((3, 4, 2, 2)), Rng(3).normal((4,))],
+        id="transposed_conv2d-of-dropout",
+    ),
 ]
 
 
 @pytest.mark.parametrize("op, arrays", _RELEASE_CASES)
-def test_backward_reads_no_released_parent(op, arrays):
-    """Each backward binds the arrays it reads when the op runs, so releasing
-    every parent's data after the forward leaves every gradient unchanged."""
+def test_backward_reads_no_released_parent(op, arrays, monkeypatch):
+    """Each backward binds the arrays it reads when the op runs, or their
+    recompute, so releasing every tensor but the output after the forward
+    gives the gradients of a run that releases nothing and recomputes nothing."""
 
     def gradients(release: bool) -> list:
-        parents = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = op(*parents)
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
         if release:
-            for p in parents:
-                p.release()
+            for node in out.graph_nodes():
+                if node is not out:
+                    node.release()
         upstream = Rng(5).normal(out.shape, dtype=out.dtype)
         T.tsum(T.mul(out, Tensor(upstream))).backward()
-        return [p.grad for p in parents]
+        return [p.grad for p in leaves]
 
-    for got, want in zip(gradients(release=True), gradients(release=False), strict=True):
+    released = gradients(release=True)
+    make_op = T.make_op
+
+    def make_op_keeping_data(data, parents, backward_fn, where, recompute=None):
+        return make_op(data, parents, backward_fn, where)
+
+    monkeypatch.setattr(T, "make_op", make_op_keeping_data)
+    monkeypatch.setattr(ops, "make_op", make_op_keeping_data)
+    for got, want in zip(released, gradients(release=False), strict=True):
         assert np.array_equal(got, want)
 
 
