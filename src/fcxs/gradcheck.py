@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .losses import LossConfig, class_weights, segmentation_loss
+from .losses import LossConfig, segmentation_loss
 from .models import ArchConfig, build_network
 from .rng import Rng
 from .tensor import Tensor
@@ -177,11 +177,10 @@ def gradcheck_network(
             rng.child(2).uniform(0.0, 1.0, (2, n_classes, REDUCED_RESOLUTION, REDUCED_RESOLUTION))
             < 0.35
         ).astype(np.float64)
-    weights = 1.0 / class_weights(chi)
 
     def loss_fn():
         out = net.forward(x, mode="infer")
-        return segmentation_loss(out, chi, loss_config, weights=weights)
+        return segmentation_loss(out, chi, loss_config)
 
     return gradient_check(
         loss_fn,

@@ -10,12 +10,11 @@ product, one sample at a time, and no column buffer outlives the GEMM
 that reads it.  The forward pass builds the columns for a block of whole
 output rows covering at least ``_BLOCK_PIXELS`` output pixels, in one
 workspace (and one zero-bordered band of padded input rows) reused across
-blocks and samples; a 1x1 stride-1 convolution multiplies the input
-directly.  The backward closure keeps the weight array and ``saved(x)``,
-which rebuilds a dropout or concat input just before the dW read and
-hands any other input back as is.  It rebuilds each sample's columns
-one block of input channels at a time, each block capped at
-``_BLOCK_VALUES`` column values: the block's dW columns are
+blocks and samples.  The backward closure keeps the weight array and
+``saved(x)``, which rebuilds a dropout or concat input just before the
+dW read and hands any other input back as is.  It rebuilds each
+sample's columns one block of input channels at a time, each block
+capped at ``_BLOCK_VALUES`` column values: the block's dW columns are
 g[k] @ cols_blk(k).T, summed over samples, while the same buffer then
 takes the block's dcols = W_blk.T @ g[k] for its dX scatter.  The 1x1
 stride-1 case needs no columns: dW sums g[k] @ x[k].T and
@@ -111,20 +110,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     xd, w_mat = x.data, weight.data.reshape(f, k_dim)
     out = np.empty((n, f, ho, wo), dtype=x.dtype)
     out_mat = out.reshape(n, f, ho * wo)
-    direct = kh == 1 and stride == 1  # the input is its own column matrix
-    if direct:
-        for k in range(n):
-            np.matmul(w_mat, xd[k].reshape(c, h * w), out=out_mat[k])
-    else:
-        rows = min(ho, -(-_BLOCK_PIXELS // wo))
-        band = np.zeros((c, stride * (rows - 1) + kh, w + pl + pr), dtype=x.dtype)
-        workspace = np.empty(k_dim * rows * wo, dtype=x.dtype)
-        for k in range(n):
-            for r0 in range(0, ho, rows):
-                r1 = min(r0 + rows, ho)
-                cols = workspace[: k_dim * (r1 - r0) * wo].reshape(c, kh, kw, r1 - r0, wo)
-                cols = _im2col(cols, band, xd[k], r0, stride, pt, pl)
-                np.matmul(w_mat, cols, out=out_mat[k, :, r0 * wo : r1 * wo])
+    rows = min(ho, -(-_BLOCK_PIXELS // wo))
+    band = np.zeros((c, stride * (rows - 1) + kh, w + pl + pr), dtype=x.dtype)
+    workspace = np.empty(k_dim * rows * wo, dtype=x.dtype)
+    for k in range(n):
+        for r0 in range(0, ho, rows):
+            r1 = min(r0 + rows, ho)
+            cols = workspace[: k_dim * (r1 - r0) * wo].reshape(c, kh, kw, r1 - r0, wo)
+            cols = _im2col(cols, band, xd[k], r0, stride, pt, pl)
+            np.matmul(w_mat, cols, out=out_mat[k, :, r0 * wo : r1 * wo])
     out += bias.data.reshape(1, f, 1, 1)
     read_x = saved(x)
 
@@ -139,7 +133,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
         dw = np.empty(weight.shape, dtype=x.dtype) if weight.requires_grad else None
         dw_mat = None if dw is None else dw.reshape(f, k_dim)
-        if direct:  # the input is its own column matrix: no workspace, no scatter
+        if kh == 1 and stride == 1:  # the input is its own column matrix: no workspace, no scatter
             for k in range(n):
                 if dw is not None:
                     _add_term(dw_mat, g_mat[k] @ x_in[k].reshape(c, h * w).T, k)
@@ -268,7 +262,7 @@ def elu(x: Tensor) -> Tensor:
     """Exponential linear unit with alpha = 1: x for x > 0, exp(x) - 1 below."""
     out = np.minimum(x.data, 0)
     np.expm1(out, out=out)
-    np.copyto(out, x.data, where=x.data > 0)
+    np.maximum(x.data, out, out=out)  # x above zero, where out is 0; expm1(x) >= x below
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -282,22 +276,17 @@ def elu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid 1 / (1 + exp(-x)), branched on the sign so no exp overflows.
+    """Logistic sigmoid 1 / (1 + exp(-x)), from e = exp(-|x|) so no exp overflows.
 
-    The backward takes the derivative from exp(-|x|), not from out * (1 - out):
+    The backward takes the derivative from the same e, not from out * (1 - out):
     1 - out rounds the positive tail away, to exactly 0 for x >= 17 in float32.
     """
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            # sigmoid'(x) = sigmoid'(-x) = e / (1 + e)^2 with e = exp(-|x|)
-            e = np.exp(-np.abs(d))
+            # sigmoid'(x) = sigmoid'(-x) = e / (1 + e)^2
             x.accumulate_grad(grad * (e / ((1 + e) * (1 + e))))
 
     return make_op(out, (x,), backward, "sigmoid")

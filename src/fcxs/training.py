@@ -27,7 +27,7 @@ from .config import RunConfig
 from .data import DatasetSplit, NormStats, Sample, build_groundtruth, normalize_by_train_split
 from .errors import ConfigError, NumericError
 from .evaluation import score_samples
-from .losses import class_weights, segmentation_loss
+from .losses import segmentation_loss
 from .models import Network, build_network, save_checkpoint
 from .optim import Adam
 from .rng import Rng
@@ -126,9 +126,8 @@ def train(
                 x, chi = pack_batch(
                     [by_id[i] for i in batch_ids], [gt_cache[i] for i in batch_ids]
                 )
-                weights = 1.0 / class_weights(chi) if loss_config.weighted else None
                 out = net.forward(x, mode="train", rng=Rng(tr.seed).child(epoch, b_idx))
-                loss = segmentation_loss(out, chi, loss_config, weights=weights)
+                loss = segmentation_loss(out, chi, loss_config)
                 net.zero_grad()
                 loss.backward()
                 optimizer.step()

@@ -416,6 +416,21 @@ class TestActivations:
         assert np.array_equal(xt.grad[4:6], g[4:6])  # exp(0) = 1
         assert xt.grad[0] == 0.0  # expm1(-100) rounds to -1 in both dtypes
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values_bit_exact(self, dtype):
+        info = np.finfo(dtype)
+        mags = np.array([0.0, info.tiny, info.smallest_subnormal, 17.0, 40.0, 88.0], dtype=dtype)
+        x = np.concatenate([mags, -mags])
+
+        def bits(a):  # compares the sign of zero too, which == does not
+            return a.view(np.dtype(f"u{a.itemsize}"))
+
+        elu = ops.elu(Tensor(x)).data
+        assert np.array_equal(bits(elu), bits(np.where(x > 0, x, np.expm1(np.minimum(x, 0)))))
+        assert not np.signbit(elu[len(mags)])  # elu(-0.0) is +0.0
+        two_branch = np.where(x >= 0, 1 / (1 + np.exp(-x)), np.exp(x) / (1 + np.exp(x)))
+        assert np.array_equal(bits(ops.sigmoid(Tensor(x)).data), bits(two_branch))
+
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_sigmoid_gradient_exact(self, dtype, rtol):
         mags = np.array([0.0, 1e-3, 5.0, 9.0, 12.0, 16.0, 17.0, 20.0, 40.0, 80.0], dtype=dtype)
