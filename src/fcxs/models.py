@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import certain_pixels
 from .rng import Rng
 from .tensor import Tensor, no_grad
@@ -199,7 +199,10 @@ class Network:
         outputs: list[Optional[Tensor]] = [None] * len(self.steps)
         for idx, step in enumerate(self.steps):
             xs = [x if i == -1 else outputs[i] for i in step.inputs]
-            outputs[idx] = step.layer.forward(xs, mode, rng)
+            try:
+                outputs[idx] = step.layer.forward(xs, mode, rng)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at {step.name}") from exc
             for src in self._dead_after[idx]:
                 _release_step_output(outputs, src, x)
         return outputs[-1]

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fcxs.errors import ConfigError, DataError, ShapeError
+from fcxs.errors import ConfigError, DataError, NumericError, ShapeError
 from fcxs.models import (
     ARCHITECTURES,
     HEADS,
@@ -303,6 +303,14 @@ class TestForwardSemantics:
         c = net.forward(x, mode="train", rng=Rng(11)).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_non_finite_output_names_the_step(self, mode):
+        net = build_network(small_config("invertednet"))
+        dict(net.parameters())["dec1.conv0.weight"].data[0, 0, 1, 1] = np.nan
+        x = Rng(5).normal((1, 1, 16, 16))
+        with pytest.raises(NumericError, match=r"^non-finite values produced by conv2d at dec1\.conv0$"):
+            net.forward(x, mode=mode, rng=Rng(6))
 
     def test_parameter_grads_after_backward(self):
         from fcxs import tensor as T

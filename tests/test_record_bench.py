@@ -60,3 +60,99 @@ def test_failed_run_kept_and_medians_from_the_other_seeds(monkeypatch, tmp_path)
         assert sorted(entry["end_to_end"]) == sorted(m["name"] for m in SPEC["end_to_end"])
         assert sorted(entry["per_layer"]) == sorted(m["name"] for m in SPEC["per_layer"])
         assert entry["traced_run"]["seed"] == 1 and entry["per_layer"]["trace.op_s"]["value"] == 10.0
+    assert "compare" not in written and all("base_runs" not in entry for entry in written["workloads"].values())
+
+
+def _repo_with_base(tmp_path):
+    """A git repository holding BENCHMARK.json, so ``--base HEAD`` can be extracted."""
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    for command in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + command, cwd=tmp_path, check=True, capture_output=True)
+    return tmp_path
+
+
+def _paired_record(monkeypatch, tmp_path, seeds, value):
+    """Run ``main --base HEAD`` with run_once stubbed; ``value(tree, workload, seed)`` gives
+    every metric of that run, or None for a run that printed no JSON line."""
+    names = [m["name"] for m in SPEC["end_to_end"] + SPEC["per_layer"]]
+    calls, base_trees = [], set()
+
+    def run_once(workload, seed, trace, tree=None):
+        label = "change" if tree in (None, tmp_path) else "base"
+        if label == "base":
+            assert (tree / "BENCHMARK.json").exists()
+            base_trees.add(tree)
+        calls.append((workload, seed, trace, label))
+        run = {"seed": seed, "trace": trace}
+        metric = 1.0 if trace else value(label, workload, seed)
+        if metric is None:
+            run.update(exit_code=1, correct=False, attempted=None, failed=None, metrics={}, error="MemoryError")
+        else:
+            run.update(exit_code=0, correct=True, attempted=3, failed=0, metrics={n: metric for n in names})
+        return run, {"threads": 2, "numpy": "2.4.6", "blas": "openblas"}
+
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    monkeypatch.setattr(record_bench, "ROOT", _repo_with_base(tmp_path))
+    assert record_bench.main(["--pr", "9", "--seeds", *map(str, seeds), "--base", "HEAD"]) == 0
+    assert len(base_trees) == 1 and not next(iter(base_trees)).exists()  # one extraction, removed afterwards
+    return calls, json.loads((tmp_path / "BENCH_9.json").read_text())
+
+
+def test_paired_runs_alternate_which_tree_goes_first(monkeypatch, tmp_path):
+    calls, written = _paired_record(monkeypatch, tmp_path, [4, 5, 6], lambda tree, workload, seed: 2.0)
+    workloads = [w["name"] for w in SPEC["workloads"]]
+    expected = []
+    for index, seed in enumerate([4, 5, 6]):
+        order = ["base", "change"] if index % 2 == 0 else ["change", "base"]
+        expected += [(w, seed, 0, label) for w in workloads for label in order]
+    expected += [(w, 4, 1, "change") for w in workloads]  # one traced run per workload, on the change
+    assert calls == expected
+    for workload in workloads:
+        entry = written["workloads"][workload]
+        assert [r["ran_first"] for r in entry["base_runs"]] == [True, False, True]
+        assert [r["ran_first"] for r in entry["runs"]] == [False, True, False]
+        assert all(isinstance(r["minflt"], int) and r["cpu_s"] >= 0 for r in entry["runs"] + entry["base_runs"])
+    assert written["compare"]["base_rev"] == subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def test_failed_base_run_is_kept_and_left_out_of_the_pairs(monkeypatch, tmp_path):
+    def value(tree, workload, seed):
+        if tree == "base" and seed == 2:
+            return None
+        return 10.0 * seed + (0.0 if tree == "base" else -1.0)
+
+    _, written = _paired_record(monkeypatch, tmp_path, [1, 2, 3, 5], value)
+    for workload, entry in written["workloads"].items():
+        assert [r["seed"] for r in entry["base_runs"]] == [1, 2, 3, 5]
+        failed = entry["base_runs"][1]
+        assert failed["correct"] is False and failed["exit_code"] == 1 and failed["metrics"] == {}
+        for metric in SPEC["end_to_end"]:
+            row = written["compare"]["workloads"][workload][metric["name"]]
+            assert row["pairs"] == 3 and row["change_won"] == 3 and row["unit"] == metric["unit"]
+            assert row["base"]["median"] == 30.0 and row["change"]["median"] == 29.0  # seeds 1, 3 and 5
+            assert row["median_diff_pct"] == -100.0 / 30.0
+
+
+def test_paired_p_value_is_the_wilcoxon_of_fcxs_stats(monkeypatch, tmp_path):
+    from fcxs.stats import wilcoxon_signed_rank
+
+    seeds = [11, 12, 13, 14, 15, 16, 17]
+    shift = {11: -0.4, 12: -0.1, 13: 0.2, 14: -0.7, 15: -0.3, 16: 0.05, 17: -0.9}
+
+    def value(tree, workload, seed):
+        return seed + (shift[seed] if tree == "change" else 0.0)
+
+    _, written = _paired_record(monkeypatch, tmp_path, seeds, value)
+    base = [float(s) for s in seeds]
+    change = [s + shift[s] for s in seeds]
+    expected = wilcoxon_signed_rank(change, base)
+    assert 0.0 < expected < 1.0
+    for workload in written["workloads"]:
+        for metric in SPEC["end_to_end"]:
+            row = written["compare"]["workloads"][workload][metric["name"]]
+            assert row["wilcoxon_p"] == expected and row["pairs"] == 7
+            better = metric["better"] == "lower"
+            assert row["change_won"] == sum((shift[s] < 0) == better for s in seeds)

@@ -180,7 +180,13 @@ class TestNoGrad:
         self._assert_recording()
 
 
+def _philox(seed, path):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+
 class TestRng:
+    N = 2_000_000  # 5 standard errors below are about 3.5e-3 (mean) and 2.5e-3 (std)
+
     def test_same_seed_bit_identical(self):
         a = Rng(123).normal((4, 4))
         b = Rng(123).normal((4, 4))
@@ -195,6 +201,61 @@ class TestRng:
 
     def test_permutation_deterministic(self):
         np.testing.assert_array_equal(Rng(9).permutation(20), Rng(9).permutation(20))
+
+    def test_float32_moments_and_tails_match_standard_normal(self):
+        z = Rng(21).normal((self.N,)).astype(np.float64)
+        se = 1.0 / np.sqrt(self.N)
+        assert abs(z.mean()) < 5 * se
+        assert abs(z.std() - 1.0) < 5 * se / np.sqrt(2)
+        tail = 0.0026997960632601866  # P(|z| > 3)
+        assert abs(np.mean(np.abs(z) > 3) - tail) < 5 * np.sqrt(tail * (1 - tail) / self.N)
+        assert np.abs(z).max() <= np.sqrt(-2 * np.log(2.0**-24))  # the uniforms' 2^-24 grid
+
+    def test_box_muller_halves_are_uncorrelated(self):
+        z = Rng(22).normal((self.N,)).astype(np.float64)
+        first, second = z[: self.N // 2], z[self.N // 2 :]
+        bound = 5 / np.sqrt(self.N // 2)
+        assert abs(np.corrcoef(first, second)[0, 1]) < bound
+        assert abs(np.corrcoef(first**2, second**2)[0, 1]) < bound
+
+    def test_float32_is_box_muller_on_the_streams_own_uniforms(self):
+        n, half = 7, 4
+        u = _philox(3, (1, 2)).random(2 * half, dtype=np.float32).astype(np.float64)
+        r, theta = np.sqrt(-2 * np.log(1 - u[:half])), 2 * np.pi * u[half:]
+        expected = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        np.testing.assert_allclose(Rng(3).child(1, 2).normal((n,)), expected, rtol=1e-5, atol=1e-6)
+
+    def test_extreme_uniforms_stay_finite(self):
+        rng = Rng(0)
+        top = np.float32(1 - 2.0**-24)  # the largest float32 uniform
+
+        class Uniforms:
+            def random(self, size, dtype):
+                return np.array([0.0, top, 0.0, 0.25], dtype=dtype)[:size]
+
+        rng._gen = Uniforms()
+        z = rng.normal((4,))
+        assert np.isfinite(z).all()
+        np.testing.assert_allclose(z, [0.0, 0.0, 0.0, np.sqrt(-2 * np.log(2.0**-24))], atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_seed_and_path_give_same_bits(self, dtype):
+        a = Rng(8).child(4, 1).normal((3, 5, 7), dtype=dtype)
+        b = Rng(8).child(4, 1).normal((3, 5, 7), dtype=dtype)
+        assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(a, Rng(8).child(4, 2).normal((3, 5, 7), dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, expected", [((3, 5), (3, 5)), ((), ()), ((2, 0, 4), (2, 0, 4)), (5, (5,))])
+    def test_shape_and_dtype(self, shape, expected, dtype):
+        z = Rng(1).normal(shape, dtype=dtype)
+        assert isinstance(z, np.ndarray) and z.shape == expected and z.dtype == dtype
+        assert np.isfinite(z).all()
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (), 4])
+    def test_float64_is_philox_standard_normal(self, shape):
+        expected = _philox(11, (2, 7)).standard_normal(shape)
+        assert Rng(11).child(2, 7).normal(shape, dtype=np.float64).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestGradientBuffers:

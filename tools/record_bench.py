@@ -12,26 +12,46 @@ crashed is recorded with ``correct`` false and its exit code, never
 dropped) and the per-layer metrics of one traced run on the first seed.  The environment (git revision, thread count, numpy
 and BLAS versions) comes from ``git`` and from the ``#`` lines run.py
 prints.
+
+With ``--base <rev>`` the recorder also extracts ``<rev>`` with ``git
+archive`` into a temporary directory and runs each (workload, seed) once
+in each tree, alternating from seed to seed which tree goes first.  Each
+of these runs also records the child's minor page faults (``minflt``) and
+CPU seconds (``cpu_s``, both cores) from ``getrusage(RUSAGE_CHILDREN)``.
+The base runs go into each workload's ``base_runs``, and a ``compare``
+section holds, per workload and metric, both medians and quartiles, the
+median paired difference in %, the pairs the change won and the
+two-sided Wilcoxon signed-rank p of ``fcxs.stats``:
+
+    python3 tools/record_bench.py --pr <n> --seeds 1 2 3 4 5 6 7 8 9 10 --base HEAD~1
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
+import resource
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from fcxs.stats import wilcoxon_signed_rank  # noqa: E402
+
 ENVIRONMENT = re.compile(r"^# (\S+) seed (\d+) trace (\d): threads (\d+), numpy (\S+), BLAS (.+)$")
 
 
-def run_once(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
-    """One benchmark process; returns (run record, parsed environment)."""
+def run_once(workload: str, seed: int, trace: int, tree: Path = None) -> tuple[dict, dict]:
+    """One benchmark process in ``tree`` (default: this checkout); returns (run record, parsed environment)."""
     command = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(command, cwd=tree or ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     environment = {}
     for line in lines:
@@ -53,6 +73,26 @@ def run_once(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     return record, environment
 
 
+def run_measured(workload: str, seed: int, tree: Path) -> tuple[dict, dict]:
+    """An untraced run plus the child's minor faults and CPU seconds."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run, environment = run_once(workload, seed, 0, tree)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run["minflt"] = after.ru_minflt - before.ru_minflt
+    run["cpu_s"] = round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 3)
+    return run, environment
+
+
+@contextlib.contextmanager
+def extracted(rev: str):
+    """``git archive`` of ``rev`` unpacked into a temporary directory, removed afterwards."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="fcxs-base-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
+
+
 def summarize(values: list[float]) -> dict:
     if len(values) == 1:
         q1 = median = q3 = values[0]
@@ -61,19 +101,53 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def record(pr: int, seeds: list[int]) -> dict:
+def compare(base_runs: list[dict], runs: list[dict], name: str, unit: str, better: str) -> dict:
+    """Paired statistics of one metric over the seeds where both trees produced a result."""
+    pairs = [
+        (b["metrics"].get(name, b.get(name)), c["metrics"].get(name, c.get(name)))
+        for b, c in zip(base_runs, runs)
+        if b["metrics"] and c["metrics"]
+    ]
+    pairs = [(b, c) for b, c in pairs if b is not None and c is not None]
+    if not pairs:
+        return None
+    base, change = [b for b, _ in pairs], [c for _, c in pairs]
+    diffs = [100.0 * (c - b) / b for b, c in pairs if b]
+    return {
+        "unit": unit,
+        "base": summarize(base),
+        "change": summarize(change),
+        "median_diff_pct": statistics.median(diffs) if diffs else None,
+        "pairs": len(pairs),
+        "change_won": sum(c < b if better == "lower" else c > b for b, c in pairs),
+        "wilcoxon_p": wilcoxon_signed_rank(change, base),
+    }
+
+
+def record(pr: int, seeds: list[int], base: str = None) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
     dirty = bool(subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True, text=True).stdout)
     environments = []
     runs = {w: [] for w in workloads}
-    for seed in seeds:  # workloads interleave, so drift spreads over all of them
-        for workload in workloads:
-            run, environment = run_once(workload, seed, 0)
-            runs[workload].append(run)
-            environments.append(environment)
-            print(f"{workload} seed {seed}: correct {run['correct']}, failed {run['failed']}", file=sys.stderr)
+    base_runs = {w: [] for w in workloads}
+    with extracted(base) if base else contextlib.nullcontext() as base_tree:
+        for index, seed in enumerate(seeds):  # workloads interleave, so drift spreads over all of them
+            for workload in workloads:
+                if base_tree is None:
+                    run, environment = run_once(workload, seed, 0)
+                    runs[workload].append(run)
+                    environments.append(environment)
+                    print(f"{workload} seed {seed}: correct {run['correct']}, failed {run['failed']}", file=sys.stderr)
+                    continue
+                trees = [("base", base_tree, base_runs), ("change", ROOT, runs)]
+                for position, (label, tree, into) in enumerate(trees if index % 2 == 0 else trees[::-1]):
+                    run, environment = run_measured(workload, seed, tree)
+                    run["ran_first"] = position == 0
+                    into[workload].append(run)
+                    environments.append(environment)
+                    print(f"{workload} seed {seed} {label}: correct {run['correct']}, failed {run['failed']}", file=sys.stderr)
     out = {"pr": pr, "git_rev": rev, "src_modified": dirty, "workloads": {}}
     for workload in workloads:
         traced, environment = run_once(workload, seeds[0], 1)
@@ -93,6 +167,18 @@ def record(pr: int, seeds: list[int]) -> dict:
                 for metric in spec["per_layer"]
             },
         }
+    if base:
+        metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+        metrics += [("minflt", "count", "lower"), ("cpu_s", "s", "lower")]
+        for workload in workloads:
+            out["workloads"][workload]["base_runs"] = base_runs[workload]
+        out["compare"] = {
+            "base_rev": subprocess.run(["git", "rev-parse", base], cwd=ROOT, capture_output=True, text=True).stdout.strip(),
+            "workloads": {
+                w: {name: compare(base_runs[w], runs[w], name, unit, better) for name, unit, better in metrics}
+                for w in workloads
+            },
+        }
     out.update(next((e for e in environments if e), {}))
     return out
 
@@ -101,8 +187,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number n in BENCH_<n>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--base", help="git revision to run against, in alternating pairs")
     args = parser.parse_args(argv)
-    result = record(args.pr, args.seeds)
+    result = record(args.pr, args.seeds, args.base)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)
