@@ -200,9 +200,12 @@ class Network:
         for idx, step in enumerate(self.steps):
             xs = [x if i == -1 else outputs[i] for i in step.inputs]
             try:
-                outputs[idx] = step.layer.forward(xs, mode, rng)
+                out = step.layer.forward(xs, mode, rng)
             except NumericError as exc:
                 raise NumericError(f"{exc} at {step.name}") from exc
+            if all(out is not src for src in xs):  # an identity step hands on its input, name and all
+                out.name = step.name
+            outputs[idx] = out
             for src in self._dead_after[idx]:
                 _release_step_output(outputs, src, x)
         return outputs[-1]

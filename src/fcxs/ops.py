@@ -22,6 +22,16 @@ dX[k] = W.T @ g[k] is written straight into dX.  Every output element is
 the same dot product, summed in the same order, as a whole-batch im2col
 computes, so on one BLAS build the results match it bit for bit.
 
+The one exception is a stride-1 3x3 convolution whose input has at least
+``_WINOGRAD_MIN_CHANNELS`` channels and at least ``_WINOGRAD_MIN_SIZE``
+pixels along each side: ``_winograd3x3`` (Winograd F(2x2, 3x3)) computes
+its output, and its dX as the same correlation of the upstream gradient
+with the flipped, transposed kernel (the exact adjoint, as the padding is
+1/1 at stride 1), with 2.25x fewer multiplies.  The backward flips the
+weight array the forward bound.  Its dW and db stay on the column path, so
+they still match whole-batch im2col bit for bit, while its output and dX
+differ from it at the rounding level (float32: about 1e-6 relative).
+
 Every backward closure binds the arrays it reads, or their recompute,
 when its op runs, so a parent's ``data`` may be released after the
 forward (``Tensor.release``).  Dropout and concat register a recompute
@@ -49,6 +59,19 @@ _BLOCK_PIXELS = 512
 # conv2d backward builds one sample's columns a block of input channels at
 # a time, each block holding at most this many column values
 _BLOCK_VALUES = 1 << 23
+# conv2d hands a stride-1 3x3 convolution to _winograd3x3 when its input
+# has at least this many channels and this many pixels along each side
+# (the per-shape timings in CHANGES.md set both)
+_WINOGRAD_MIN_CHANNELS = 256
+_WINOGRAD_MIN_SIZE = 64
+# _winograd3x3 transforms blocks of whole tile rows covering at least this
+# many 2x2 output tiles
+_WINOGRAD_TILES = 256
+# G of Winograd F(2x2, 3x3): the kernel transform is U = G g G^T
+_WINOGRAD_G = np.array([[1, 0, 0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0, 0, 1]])
+# the rows of B^T, as (first, second, ufunc): (1,0,-1,0), (0,1,1,0),
+# (0,-1,1,0) and (0,1,0,-1) each combine two of a tile's four rows or columns
+_WINOGRAD_B = ((0, 2, np.subtract), (1, 2, np.add), (2, 1, np.subtract), (1, 3, np.subtract))
 
 
 def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -81,6 +104,79 @@ def _im2col(
     return cols.reshape(c * kh * kw, rows * wo)
 
 
+def _winograd3x3(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """Write the same-padded stride-1 correlation of (N,C,H,W) ``x`` with
+    (F,C,3,3) ``w`` into (N,F,H,W) ``out``, by Winograd F(2x2, 3x3)
+    (Lavin & Gray 2016, arXiv 1509.09308).
+
+    Each 2x2 output tile is A^T [U * (B^T d B)] A for the 4x4 padded input
+    tile d around it, with U = G g G^T per (filter, channel) pair: 16
+    multiplies per tile and pair where im2col takes 36.  The tiles of a
+    block of whole tile rows are transformed from a zero-bordered band of
+    padded input rows that keeps even and odd columns apart, so every
+    transform reads unit-stride rows.  For each of the 16 tile positions
+    one (F,C) @ (C,tiles) GEMM takes the transformed input, and its product
+    is added straight into the rows of A^T M; a last pass writes A^T M A
+    into ``out``.
+    """
+    n, c, h, wd = x.shape
+    f = w.shape[0]
+    th, tw = -(-h // 2), -(-wd // 2)  # tile rows and tile columns
+    # U of every (filter, channel) pair in one product: kron(G, G) maps the
+    # row-major 3x3 kernel to the row-major 4x4 G g G^T
+    u = (np.kron(_WINOGRAD_G, _WINOGRAD_G).astype(w.dtype) @ w.reshape(f * c, 9).T).reshape(16, f, c)
+    rows = min(th, -(-_WINOGRAD_TILES // tw))
+    # band[:, r, p, s] is padded column 2s + p of padded row r; input column
+    # j sits at padded column j + 1, so even columns go to p = 1, odd to p = 0
+    band = np.zeros((c, 2 * rows + 2, 2, tw + 1), dtype=x.dtype)
+    e_blk = np.empty((c, rows, 2, tw + 1), dtype=x.dtype)
+    v_buf = np.empty(c * rows * tw, dtype=x.dtype)
+    m_buf = np.empty(f * rows * tw, dtype=x.dtype)
+    r_buf = np.empty(8 * f * rows * tw, dtype=x.dtype)
+    for k in range(n):
+        for t0 in range(0, th, rows):
+            t1 = min(t0 + rows, th)
+            tiles = (t1 - t0) * tw
+            first = 2 * t0 - 1  # the input row held by band row 0
+            lo, hi = max(first, 0), min(first + 2 * (t1 - t0) + 2, h)
+            band[:, : lo - first] = 0
+            band[:, lo - first : hi - first, 1, :tw] = x[k, :, lo:hi, 0::2]
+            band[:, lo - first : hi - first, 0, 1 : 1 + wd // 2] = x[k, :, lo:hi, 1::2]
+            band[:, hi - first :] = 0
+            # row i of every tile in the block; B^T d combines two of them into
+            # e, then e B two of e's columns into v
+            tile_rows = [band[:, i : i + 2 * (t1 - t0) : 2] for i in range(4)]
+            e = e_blk[:, : t1 - t0]
+            tile_cols = [e[:, :, 0, :tw], e[:, :, 1, :tw], e[:, :, 0, 1:], e[:, :, 1, 1:]]
+            v = v_buf[: c * tiles].reshape(c, tiles)
+            m = m_buf[: f * tiles].reshape(f, tiles)
+            r = r_buf[: 8 * f * tiles].reshape(2, 4, f, tiles)  # A^T M, rows a = 0, 1
+            for i, (p, q, row_op) in enumerate(_WINOGRAD_B):
+                row_op(tile_rows[p], tile_rows[q], out=e)
+                for j, (p2, q2, col_op) in enumerate(_WINOGRAD_B):
+                    col_op(tile_cols[p2], tile_cols[q2], out=v.reshape(c, t1 - t0, tw))
+                    # r[a, j] sums A^T[a, i] M[4i + j] as each M arrives; A^T's
+                    # rows are (1,1,1,0) and (0,1,-1,-1)
+                    if i == 0:
+                        np.matmul(u[4 * i + j], v, out=r[0, j])
+                    elif i == 1:
+                        np.matmul(u[4 * i + j], v, out=r[1, j])
+                        r[0, j] += r[1, j]
+                    else:
+                        np.matmul(u[4 * i + j], v, out=m)
+                        if i == 2:
+                            r[0, j] += m
+                        r[1, j] -= m
+            for a in range(2):  # (A^T M) A: output columns 2s and 2s + 1
+                ra = r[a]
+                ya = ra.reshape(4, f, t1 - t0, tw)[:, :, : len(range(2 * t0 + a, min(2 * t1, h), 2))]
+                dst = out[k, :, 2 * t0 + a : 2 * t1 : 2]
+                np.add(ra[0], ra[1], out=ra[0])
+                np.add(ya[0], ya[2], out=dst[:, :, 0::2])
+                np.subtract(ra[1], ra[2], out=ra[1])
+                np.subtract(ya[1, ..., : wd // 2], ya[3, ..., : wd // 2], out=dst[:, :, 1::2])
+
+
 def _add_term(dst: np.ndarray, term: np.ndarray, k: int) -> None:
     """Sum dW's per-sample terms in sample order: the first is copied in."""
     if k == 0:
@@ -107,18 +203,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho, pt, pb = _same_padding(h, kh, stride)
     wo, pl, pr = _same_padding(w, kw, stride)
     k_dim = c * kh * kw
-    xd, w_mat = x.data, weight.data.reshape(f, k_dim)
+    xd, wd = x.data, weight.data
+    w_mat = wd.reshape(f, k_dim)
     out = np.empty((n, f, ho, wo), dtype=x.dtype)
-    out_mat = out.reshape(n, f, ho * wo)
-    rows = min(ho, -(-_BLOCK_PIXELS // wo))
-    band = np.zeros((c, stride * (rows - 1) + kh, w + pl + pr), dtype=x.dtype)
-    workspace = np.empty(k_dim * rows * wo, dtype=x.dtype)
-    for k in range(n):
-        for r0 in range(0, ho, rows):
-            r1 = min(r0 + rows, ho)
-            cols = workspace[: k_dim * (r1 - r0) * wo].reshape(c, kh, kw, r1 - r0, wo)
-            cols = _im2col(cols, band, xd[k], r0, stride, pt, pl)
-            np.matmul(w_mat, cols, out=out_mat[k, :, r0 * wo : r1 * wo])
+    winograd = kh == 3 and stride == 1 and c >= _WINOGRAD_MIN_CHANNELS and min(h, w) >= _WINOGRAD_MIN_SIZE
+    if winograd:
+        _winograd3x3(xd, wd, out)
+    else:
+        out_mat = out.reshape(n, f, ho * wo)
+        rows = min(ho, -(-_BLOCK_PIXELS // wo))
+        band = np.zeros((c, stride * (rows - 1) + kh, w + pl + pr), dtype=x.dtype)
+        workspace = np.empty(k_dim * rows * wo, dtype=x.dtype)
+        for k in range(n):
+            for r0 in range(0, ho, rows):
+                r1 = min(r0 + rows, ho)
+                cols = workspace[: k_dim * (r1 - r0) * wo].reshape(c, kh, kw, r1 - r0, wo)
+                cols = _im2col(cols, band, xd[k], r0, stride, pt, pl)
+                np.matmul(w_mat, cols, out=out_mat[k, :, r0 * wo : r1 * wo])
     out += bias.data.reshape(1, f, 1, 1)
     read_x = saved(x)
 
@@ -133,19 +234,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         dx = np.empty(x.shape, dtype=x.dtype) if x.requires_grad else None
         dw = np.empty(weight.shape, dtype=x.dtype) if weight.requires_grad else None
         dw_mat = None if dw is None else dw.reshape(f, k_dim)
+        if winograd and dx is not None:
+            # stride 1 with padding 1/1: the adjoint correlates grad with the flipped, transposed kernel
+            _winograd3x3(grad, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dx)
+        dx_cols = None if winograd else dx  # the dX the column loop scatters
         if kh == 1 and stride == 1:  # the input is its own column matrix: no workspace, no scatter
             for k in range(n):
                 if dw is not None:
                     _add_term(dw_mat, g_mat[k] @ x_in[k].reshape(c, h * w).T, k)
                 if dx is not None:
                     np.matmul(w_mat.T, g_mat[k], out=dx[k].reshape(c, h * w))
-        else:
+        elif dw is not None or dx_cols is not None:
             step = max(1, min(c, _BLOCK_VALUES // (kh * kw * ho * wo)))
             padded = (step, h + pt + pb, w + pl + pr)
             # one block's columns for dW, then the same buffer holds its dcols
             workspace = np.empty(step * kh * kw * ho * wo, dtype=x.dtype)
             band = np.zeros(padded, dtype=x.dtype) if dw is not None else None
-            dxp = np.empty(padded, dtype=x.dtype) if dx is not None else None
+            dxp = np.empty(padded, dtype=x.dtype) if dx_cols is not None else None
             for k in range(n):
                 for c0 in range(0, c, step):
                     c1 = min(c0 + step, c)
@@ -154,7 +259,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                     if dw is not None:
                         cols_k = _im2col(cols, band[: c1 - c0], x_in[k, c0:c1], 0, stride, pt, pl)
                         _add_term(dw_mat[:, r0:r1], g_mat[k] @ cols_k.T, k)
-                    if dx is not None:
+                    if dx_cols is not None:
                         dcols = np.matmul(w_mat[:, r0:r1].T, g_mat[k], out=cols.reshape(r1 - r0, ho * wo))
                         dcols = dcols.reshape(c1 - c0, kh, kw, ho, wo)
                         dxp_blk = dxp[: c1 - c0]
@@ -162,7 +267,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                         for i in range(kh):
                             for j in range(kw):
                                 dxp_blk[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
-                        dx[k, c0:c1] = dxp_blk[:, pt : pt + h, pl : pl + w]
+                        dx_cols[k, c0:c1] = dxp_blk[:, pt : pt + h, pl : pl + w]
         if dw is not None:
             weight.accumulate_grad(dw)
         if dx is not None:

@@ -37,7 +37,9 @@ between steps the optimizer rebinds each parameter's ``data`` to a
 new array.
 
 Every operation checks its result for NaN/Inf (a hard error per the
-numeric contract).
+numeric contract), and ``backward`` checks each node's gradient once it
+is complete; its error names the node when the node has a ``name``
+(``Network.forward`` gives each step output its step's name).
 
 Inside a ``no_grad()`` block operations record nothing: results have
 ``requires_grad=False``, no parents and no backward closure, so the
@@ -187,7 +189,12 @@ class Tensor:
             grad = node.grad
             if grad is not None and node.requires_grad:
                 # every consumer has run, so this gradient is complete
-                _require_finite(grad, "gradient produced during backward")
+                try:
+                    _require_finite(grad, "gradient produced during backward")
+                except NumericError as exc:
+                    if node.name is None:
+                        raise
+                    raise NumericError(f"{exc} at {node.name}") from exc
             if node._backward_fn is None:
                 continue
             if grad is not None:

@@ -312,6 +312,35 @@ class TestForwardSemantics:
         with pytest.raises(NumericError, match=r"^non-finite values produced by conv2d at dec1\.conv0$"):
             net.forward(x, mode=mode, rng=Rng(6))
 
+    def test_step_outputs_carry_the_step_name(self):
+        net = build_network(small_config("invertednet"))
+        x = Tensor(Rng(5).normal((1, 1, 16, 16)))
+        out = net.forward(x, mode="train", rng=Rng(6))
+        named = {node.name: node for node in out.graph_nodes() if node.name is not None}
+        assert out.name == "head.sigmoid"
+        assert {"enc0.conv0", "enc1.pool", "dec1.concat", "dec1.conv0.drop"} <= set(named)
+        assert named.keys() <= {step.name for step in net.steps}
+        assert x.name is None
+        # at inference each dropout step hands its input on unrenamed
+        assert net.forward(x, mode="infer").name == "head.sigmoid" and x.name is None
+
+    def test_non_finite_gradient_names_the_step(self):
+        from fcxs import tensor as T
+
+        net = build_network(small_config("invertednet"))
+        loss = T.tsum(net.forward(Rng(5).normal((1, 1, 16, 16)), mode="train", rng=Rng(6)))
+        nodes = {node.name: node for node in loss.graph_nodes() if node.name is not None}
+        conv, act = nodes["dec1.conv0"], nodes["dec1.conv0.act"]
+        act_backward = act._backward_fn
+
+        def poisoned(grad):  # the activation hands its conv a gradient with one NaN
+            act_backward(grad)
+            conv.grad[0, 0, 0, 0] = np.nan
+
+        act._backward_fn = poisoned
+        with pytest.raises(NumericError, match=r"^non-finite gradient produced during backward at dec1\.conv0$"):
+            loss.backward()
+
     def test_parameter_grads_after_backward(self):
         from fcxs import tensor as T
 

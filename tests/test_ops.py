@@ -81,6 +81,24 @@ def batched_im2col_conv2d(x, w, b, g, stride=1):
     return out, dxp[:, :, pt : pt + h, pl : pl + wd], dw.reshape(w.shape), db
 
 
+def direct_conv2d_3x3(x, w, b, g):
+    """Same-padded stride-1 3x3 convolution and its backward for upstream
+    gradient g, in float64, one kernel tap at a time: (out, dx, dw, db)."""
+    x, w, b, g = (np.asarray(a, dtype=np.float64) for a in (x, w, b, g))
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.zeros((n, w.shape[0], h, wd)) + b.reshape(1, -1, 1, 1)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(3):
+        for j in range(3):
+            shifted = xp[:, :, i : i + h, j : j + wd]
+            out += np.einsum("fc,nchw->nfhw", w[:, :, i, j], shifted)
+            dxp[:, :, i : i + h, j : j + wd] += np.einsum("fc,nfhw->nchw", w[:, :, i, j], g)
+            dw[:, :, i, j] = np.einsum("nfhw,nchw->fc", g, shifted)
+    return out, dxp[:, :, 1:-1, 1:-1], dw, g.sum(axis=(0, 2, 3))
+
+
 def transposed_conv2d_oracle(x, w, b):
     """Scatter each input value through the 2x2 kernel into a 2x-sized grid."""
     n, c, h, wd = x.shape
@@ -272,6 +290,104 @@ class TestConv2d:
         loss().backward()
         for p in (x, w, b):
             np.testing.assert_allclose(p.grad, numeric_gradient(loss, p), rtol=1e-4, atol=1e-7)
+
+
+# -- the Winograd path of conv2d ------------------------------------------------------
+
+# the smallest routed input: conv2d takes stride-1 3x3 convolutions of at
+# least this many channels over maps at least this many pixels a side to
+# ops._winograd3x3, forward and dX
+_WC, _WS = ops._WINOGRAD_MIN_CHANNELS, ops._WINOGRAD_MIN_SIZE
+
+
+def _winograd_calls(monkeypatch) -> list:
+    """Spy on ops._winograd3x3: the list gets one entry per call."""
+    calls = []
+    winograd = ops._winograd3x3
+
+    def spy(x, w, out):
+        calls.append(x.shape)
+        return winograd(x, w, out)
+
+    monkeypatch.setattr(ops, "_winograd3x3", spy)
+    return calls
+
+
+def _conv_and_grads(x, w, b, g):
+    """conv2d of fresh leaves, backward with upstream gradient exactly g: (out, dx, dw, db)."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = ops.conv2d(xt, wt, bt)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+class TestWinogradConv2d:
+    # (N, C, F, H, W) with odd sides; at 67x65 the 34 tile rows of 33 tiles
+    # go in blocks of 8 rows with a ragged last block of 2, whose second
+    # output row is past the map's edge
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape", [(1, _WC, 3, _WS, _WS), (2, _WC, 4, _WS + 3, _WS + 1), (3, _WC + 1, 2, _WS + 2, _WS + 7)]
+    )
+    def test_routed_matches_float64_direct_reference(self, shape, dtype, monkeypatch):
+        # the tolerance is on |error| / max|reference| per output: float32
+        # sums of 9 * C products round at about 1e-7 relative, Winograd's
+        # transforms add a few roundings more
+        tolerance = {np.float32: 5e-6, np.float64: 1e-13}[dtype]
+        n, c, f, h, w = shape
+        rng = Rng(sum(shape))
+        x = rng.child(0).normal((n, c, h, w), dtype=dtype)
+        wt = rng.child(1).normal((f, c, 3, 3), dtype=dtype) / 16
+        b = rng.child(2).normal((f,), dtype=dtype)
+        g = rng.child(3).normal((n, f, h, w), dtype=dtype)
+        calls = _winograd_calls(monkeypatch)
+        got = _conv_and_grads(x, wt, b, g)
+        assert calls == [(n, c, h, w), (n, f, h, w)]  # the forward, then dX
+        for name, value, want in zip(("out", "dx", "dw", "db"), got, direct_conv2d_3x3(x, wt, b, g)):
+            assert value.dtype == dtype and value.shape == want.shape, name
+            error = np.abs(value - want).max() / np.abs(want).max()
+            assert error <= tolerance, (name, error)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "channels, size", [(_WC - 1, (_WS, _WS)), (_WC, (_WS - 1, _WS + 5)), (_WC, (_WS + 5, _WS - 1))]
+    )
+    def test_one_step_below_a_threshold_stays_on_im2col(self, channels, size, dtype, monkeypatch):
+        rng = Rng(channels + size[0])
+        x = rng.child(0).normal((2, channels) + size, dtype=dtype)
+        wt = rng.child(1).normal((3, channels, 3, 3), dtype=dtype)
+        b = rng.child(2).normal((3,), dtype=dtype)
+        g = rng.child(3).normal((2, 3) + size, dtype=dtype)
+        calls = _winograd_calls(monkeypatch)
+        got = _conv_and_grads(x, wt, b, g)
+        assert calls == []
+        for name, value, want in zip(("out", "dx", "dw", "db"), got, batched_im2col_conv2d(x, wt, b, g)):
+            assert value.dtype == dtype, name
+            assert np.array_equal(value, want), name
+
+    def test_gradients_match_finite_differences(self, monkeypatch):
+        rng = Rng(12)
+        x = rand64(rng.child(0), (1, _WC, _WS + 1, _WS))
+        w = Tensor(rng.child(1).normal((2, _WC, 3, 3), dtype=np.float64) / 16, requires_grad=True)
+        b = rand64(rng.child(2), (2,))
+        calls = _winograd_calls(monkeypatch)
+
+        def loss():
+            return T.tsum(ops.elu(ops.conv2d(x, w, b)))
+
+        loss().backward()
+        assert len(calls) == 2
+        picks = np.random.default_rng(0)
+        for p in (x, w, b):
+            flat = p.data.reshape(-1)
+            for i in picks.choice(flat.size, size=min(flat.size, 12), replace=False):
+                orig = flat[i]
+                flat[i] = orig + 1e-6
+                up = float(loss().data)
+                flat[i] = orig - 1e-6
+                down = float(loss().data)
+                flat[i] = orig
+                np.testing.assert_allclose(p.grad.reshape(-1)[i], (up - down) / 2e-6, rtol=1e-4, atol=1e-7)
 
 
 # -- transposed conv -------------------------------------------------------------
@@ -649,6 +765,27 @@ _RELEASE_CASES = [
         lambda a, b, w, bias: ops.conv2d(ops.concat_channels(_dropped(a, 4), _dropped(b, 6)), w, bias),
         [Rng(1).normal(_NCHW), Rng(2).normal((2, 2, 6, 5)), Rng(3).normal((4, 5, 3, 3)), Rng(7).normal((4,))],
         id="conv2d-k3-s1-of-concat-of-dropouts",
+    ),
+    # routed to ops._winograd3x3: its dX flips the weight array bound at the forward
+    pytest.param(
+        ops.conv2d,
+        [Rng(1).normal((1, _WC, _WS, _WS + 1)), Rng(2).normal((2, _WC, 3, 3)), Rng(3).normal((2,))],
+        id="conv2d-k3-s1-winograd",
+    ),
+    pytest.param(
+        lambda x, w, b: ops.conv2d(_dropped(x, 4), w, b),
+        [Rng(1).normal((1, _WC, _WS, _WS + 1)), Rng(2).normal((2, _WC, 3, 3)), Rng(3).normal((2,))],
+        id="conv2d-k3-s1-winograd-of-dropout",
+    ),
+    pytest.param(
+        lambda a, b, w, bias: ops.conv2d(ops.concat_channels(_dropped(a, 4), _dropped(b, 6)), w, bias),
+        [
+            Rng(1).normal((1, _WC // 2, _WS, _WS)),
+            Rng(2).normal((1, _WC - _WC // 2, _WS, _WS)),
+            Rng(3).normal((2, _WC, 3, 3)),
+            Rng(7).normal((2,)),
+        ],
+        id="conv2d-k3-s1-winograd-of-concat-of-dropouts",
     ),
     pytest.param(
         lambda x, w, b: ops.transposed_conv2d(_dropped(x, 4), w, b),

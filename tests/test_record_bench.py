@@ -30,7 +30,8 @@ def test_failed_run_kept_and_medians_from_the_other_seeds(monkeypatch, tmp_path)
     names = [m["name"] for m in SPEC["end_to_end"] + SPEC["per_layer"]]
     calls = []
 
-    def run_once(workload, seed, trace):
+    def run_once(workload, seed, trace, tree=None):
+        assert tree is None  # without --base every run uses the checkout
         calls.append((workload, seed, trace))
         run = {"seed": seed, "trace": trace}
         if seed == 2 and not trace:  # exits 1 and prints no JSON line
@@ -64,11 +65,15 @@ def test_failed_run_kept_and_medians_from_the_other_seeds(monkeypatch, tmp_path)
 
 
 def _repo_with_base(tmp_path):
-    """A git repository holding BENCHMARK.json, so ``--base HEAD`` can be extracted."""
+    """A git repository holding BENCHMARK.json and ``side.txt``, so ``--base HEAD``
+    can be extracted.  ``side.txt`` reads "base" at HEAD and "change" on disk."""
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    (tmp_path / "side.txt").write_text("base")
     git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
-    for command in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "base"]):
+    for command in (["init", "-q"], ["add", "BENCHMARK.json", "side.txt"], ["commit", "-q", "-m", "base"]):
         subprocess.run(git + command, cwd=tmp_path, check=True, capture_output=True)
+    (tmp_path / "side.txt").write_text("change")
+    (tmp_path / "untracked.txt").write_text("left out")
     return tmp_path
 
 
@@ -76,13 +81,13 @@ def _paired_record(monkeypatch, tmp_path, seeds, value):
     """Run ``main --base HEAD`` with run_once stubbed; ``value(tree, workload, seed)`` gives
     every metric of that run, or None for a run that printed no JSON line."""
     names = [m["name"] for m in SPEC["end_to_end"] + SPEC["per_layer"]]
-    calls, base_trees = [], set()
+    calls, trees = [], {"base": set(), "change": set()}
 
     def run_once(workload, seed, trace, tree=None):
-        label = "change" if tree in (None, tmp_path) else "base"
-        if label == "base":
-            assert (tree / "BENCHMARK.json").exists()
-            base_trees.add(tree)
+        assert tree is not None and tree.resolve() != tmp_path.resolve()  # never the checkout itself
+        assert (tree / "BENCHMARK.json").exists() and not (tree / "untracked.txt").exists()
+        label = (tree / "side.txt").read_text()
+        trees[label].add(tree)
         calls.append((workload, seed, trace, label))
         run = {"seed": seed, "trace": trace}
         metric = 1.0 if trace else value(label, workload, seed)
@@ -95,7 +100,8 @@ def _paired_record(monkeypatch, tmp_path, seeds, value):
     monkeypatch.setattr(record_bench, "run_once", run_once)
     monkeypatch.setattr(record_bench, "ROOT", _repo_with_base(tmp_path))
     assert record_bench.main(["--pr", "9", "--seeds", *map(str, seeds), "--base", "HEAD"]) == 0
-    assert len(base_trees) == 1 and not next(iter(base_trees)).exists()  # one extraction, removed afterwards
+    for side in trees.values():  # one copy per side, removed afterwards
+        assert len(side) == 1 and not next(iter(side)).exists()
     return calls, json.loads((tmp_path / "BENCH_9.json").read_text())
 
 

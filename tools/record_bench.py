@@ -14,8 +14,12 @@ and BLAS versions) comes from ``git`` and from the ``#`` lines run.py
 prints.
 
 With ``--base <rev>`` the recorder also extracts ``<rev>`` with ``git
-archive`` into a temporary directory and runs each (workload, seed) once
-in each tree, alternating from seed to seed which tree goes first.  Each
+archive`` into a temporary directory, copies the checkout's tracked files
+as they are on disk into another, and runs each (workload, seed) once in
+each of the two copies, alternating from seed to seed which goes first;
+the traced runs use the checkout's copy too.  Both sides then run from a
+fresh directory outside the checkout, so they differ in their files
+alone, not in where they sit.  Each
 of these runs also records the child's minor page faults (``minflt``) and
 CPU seconds (``cpu_s``, both cores) from ``getrusage(RUSAGE_CHILDREN)``.
 The base runs go into each workload's ``base_runs``, and a ``compare``
@@ -34,6 +38,7 @@ import io
 import json
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -93,6 +98,18 @@ def extracted(rev: str):
         yield Path(tmp)
 
 
+@contextlib.contextmanager
+def copied_checkout():
+    """The checkout's tracked files, as they are on disk, copied into a temporary directory, removed afterwards."""
+    listing = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="fcxs-change-") as tmp:
+        for name in filter(None, listing.decode().split("\0")):
+            if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
+                (Path(tmp) / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, Path(tmp) / name)
+        yield Path(tmp)
+
+
 def summarize(values: list[float]) -> dict:
     if len(values) == 1:
         q1 = median = q3 = values[0]
@@ -132,7 +149,9 @@ def record(pr: int, seeds: list[int], base: str = None) -> dict:
     environments = []
     runs = {w: [] for w in workloads}
     base_runs = {w: [] for w in workloads}
-    with extracted(base) if base else contextlib.nullcontext() as base_tree:
+    with contextlib.ExitStack() as stack:
+        base_tree = stack.enter_context(extracted(base)) if base else None
+        change_tree = stack.enter_context(copied_checkout()) if base else None  # None: the checkout
         for index, seed in enumerate(seeds):  # workloads interleave, so drift spreads over all of them
             for workload in workloads:
                 if base_tree is None:
@@ -141,18 +160,21 @@ def record(pr: int, seeds: list[int], base: str = None) -> dict:
                     environments.append(environment)
                     print(f"{workload} seed {seed}: correct {run['correct']}, failed {run['failed']}", file=sys.stderr)
                     continue
-                trees = [("base", base_tree, base_runs), ("change", ROOT, runs)]
+                trees = [("base", base_tree, base_runs), ("change", change_tree, runs)]
                 for position, (label, tree, into) in enumerate(trees if index % 2 == 0 else trees[::-1]):
                     run, environment = run_measured(workload, seed, tree)
                     run["ran_first"] = position == 0
                     into[workload].append(run)
                     environments.append(environment)
                     print(f"{workload} seed {seed} {label}: correct {run['correct']}, failed {run['failed']}", file=sys.stderr)
+        traced_runs = {}
+        for workload in workloads:
+            traced_runs[workload], environment = run_once(workload, seeds[0], 1, change_tree)
+            environments.append(environment)
+            print(f"{workload} traced: correct {traced_runs[workload]['correct']}", file=sys.stderr)
     out = {"pr": pr, "git_rev": rev, "src_modified": dirty, "workloads": {}}
     for workload in workloads:
-        traced, environment = run_once(workload, seeds[0], 1)
-        environments.append(environment)
-        print(f"{workload} traced: correct {traced['correct']}", file=sys.stderr)
+        traced = traced_runs[workload]
         end_to_end = {}
         for metric in spec["end_to_end"]:
             values = [r["metrics"][metric["name"]] for r in runs[workload] if metric["name"] in r["metrics"]]
