@@ -377,6 +377,7 @@ class TestWinogradConv2d:
 
         loss().backward()
         assert len(calls) == 2
+        # 12 sampled entries per tensor: x alone has 266k, two forwards each
         picks = np.random.default_rng(0)
         for p in (x, w, b):
             flat = p.data.reshape(-1)
