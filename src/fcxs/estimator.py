@@ -26,9 +26,20 @@ from .models import ensemble_predict, organ_probabilities
 from .training import train_run
 
 
+def _numeric_array(values, name: str) -> np.ndarray:
+    """``values`` as an array of booleans or real numbers, else a DataError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise DataError(f"{name} is not a rectangular array: {exc}") from exc
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def check_image_batch(X) -> np.ndarray:
     """Coerce to (n, 1, H, W) float32 square grayscale images."""
-    arr = np.asarray(X)
+    arr = _numeric_array(X, "X")
     if arr.ndim == 3:
         arr = arr[:, None, :, :]
     if arr.ndim != 4 or arr.shape[1] != 1:
@@ -45,7 +56,7 @@ def check_image_batch(X) -> np.ndarray:
 
 def check_mask_batch(y, n: int, hw: tuple[int, int]) -> np.ndarray:
     """Coerce to (n, 3, H, W) binary uint8 organ masks matching X."""
-    arr = np.asarray(y)
+    arr = _numeric_array(y, "y")
     if arr.ndim != 4 or arr.shape[1] != 3:
         raise DataError(f"y must be (n, 3, H, W) binary organ masks, got shape {arr.shape}")
     if arr.shape[0] != n:

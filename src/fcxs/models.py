@@ -189,6 +189,8 @@ class Network:
             x = Tensor(np.asarray(x))
         if x.data.ndim == 3:
             x = Tensor(x.data[None])
+        if x.data.ndim != 4:
+            raise ShapeError(f"expected a (C,H,W) image or an (N,C,H,W) batch, got shape {x.shape}")
         n, c, h, w = x.shape
         if c != self.config.in_channels:
             raise ShapeError(f"expected {self.config.in_channels} input channels, got {c}")

@@ -27,10 +27,13 @@ The one exception is a stride-1 3x3 convolution whose input has at least
 pixels along each side: ``_winograd3x3`` (Winograd F(2x2, 3x3)) computes
 its output, and its dX as the same correlation of the upstream gradient
 with the flipped, transposed kernel (the exact adjoint, as the padding is
-1/1 at stride 1), with 2.25x fewer multiplies.  The backward flips the
-weight array the forward bound.  Its dW and db stay on the column path, so
-they still match whole-batch im2col bit for bit, while its output and dX
-differ from it at the rounding level (float32: about 1e-6 relative).
+1/1 at stride 1), with 2.25x fewer multiplies.  It blocks whole rows of
+2x2 output tiles by the forward's ``_BLOCK_PIXELS`` rule and runs each of
+its three transforms as one matrix product over the block.  The backward
+flips the weight array the forward bound.  Its dW and db stay on the
+column path, so they still match whole-batch im2col bit for bit, while its
+output and dX differ from it at the rounding level (float32: about 1e-6
+relative).
 
 Every backward closure binds the arrays it reads, or their recompute,
 when its op runs, so a parent's ``data`` may be released after the
@@ -52,9 +55,10 @@ from .rng import Rng
 from .tensor import Tensor, make_op, saved
 
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
-# conv2d forward builds its columns for blocks of whole output rows that
-# cover at least this many output pixels, so each GEMM stays wide enough
-# for BLAS while the column workspace stays small
+# conv2d forward builds its columns (and _winograd3x3 its tiles) for blocks
+# of whole output rows (tile rows) that cover at least this many output
+# pixels, so each GEMM stays wide enough for BLAS while the workspace stays
+# small
 _BLOCK_PIXELS = 512
 # conv2d backward builds one sample's columns a block of input channels at
 # a time, each block holding at most this many column values
@@ -64,14 +68,10 @@ _BLOCK_VALUES = 1 << 23
 # (the per-shape timings in CHANGES.md set both)
 _WINOGRAD_MIN_CHANNELS = 256
 _WINOGRAD_MIN_SIZE = 64
-# _winograd3x3 transforms blocks of whole tile rows covering at least this
-# many 2x2 output tiles
-_WINOGRAD_TILES = 256
-# G of Winograd F(2x2, 3x3): the kernel transform is U = G g G^T
+# Winograd F(2x2, 3x3): U = G g G^T, V = B^T d B and the output tile A^T M A
 _WINOGRAD_G = np.array([[1, 0, 0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0, 0, 1]])
-# the rows of B^T, as (first, second, ufunc): (1,0,-1,0), (0,1,1,0),
-# (0,-1,1,0) and (0,1,0,-1) each combine two of a tile's four rows or columns
-_WINOGRAD_B = ((0, 2, np.subtract), (1, 2, np.add), (2, 1, np.subtract), (1, 3, np.subtract))
+_WINOGRAD_BT = np.array([[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, -1]])
+_WINOGRAD_AT = np.array([[1, 1, 1, 0], [0, 1, -1, -1]])
 
 
 def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -111,70 +111,48 @@ def _winograd3x3(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
 
     Each 2x2 output tile is A^T [U * (B^T d B)] A for the 4x4 padded input
     tile d around it, with U = G g G^T per (filter, channel) pair: 16
-    multiplies per tile and pair where im2col takes 36.  The tiles of a
-    block of whole tile rows are transformed from a zero-bordered band of
-    padded input rows that keeps even and odd columns apart, so every
-    transform reads unit-stride rows.  For each of the 16 tile positions
-    one (F,C) @ (C,tiles) GEMM takes the transformed input, and its product
-    is added straight into the rows of A^T M; a last pass writes A^T M A
-    into ``out``.
+    multiplies per tile and pair where im2col takes 36.  On row-major
+    flattened tiles each transform is one matrix product: kron(B^T, B^T)
+    maps d to V, and kron(A^T, A^T) maps M to the output tile.  A block of
+    whole tile rows covering at least ``_BLOCK_PIXELS`` output pixels
+    gathers its tiles from a zero-bordered band of padded input rows; its
+    V goes through one (16,16) GEMM, its M = U V through one batched
+    (16,F,C) @ (16,C,tiles) product and its output through one (4,16) GEMM.
     """
     n, c, h, wd = x.shape
     f = w.shape[0]
     th, tw = -(-h // 2), -(-wd // 2)  # tile rows and tile columns
-    # U of every (filter, channel) pair in one product: kron(G, G) maps the
-    # row-major 3x3 kernel to the row-major 4x4 G g G^T
+    # kron(G, G) maps the row-major 3x3 kernel to the row-major 4x4 G g G^T
     u = (np.kron(_WINOGRAD_G, _WINOGRAD_G).astype(w.dtype) @ w.reshape(f * c, 9).T).reshape(16, f, c)
-    rows = min(th, -(-_WINOGRAD_TILES // tw))
-    # band[:, r, p, s] is padded column 2s + p of padded row r; input column
-    # j sits at padded column j + 1, so even columns go to p = 1, odd to p = 0
-    band = np.zeros((c, 2 * rows + 2, 2, tw + 1), dtype=x.dtype)
-    e_blk = np.empty((c, rows, 2, tw + 1), dtype=x.dtype)
-    v_buf = np.empty(c * rows * tw, dtype=x.dtype)
-    m_buf = np.empty(f * rows * tw, dtype=x.dtype)
-    r_buf = np.empty(8 * f * rows * tw, dtype=x.dtype)
+    bt = np.kron(_WINOGRAD_BT, _WINOGRAD_BT).astype(x.dtype)
+    at = np.kron(_WINOGRAD_AT, _WINOGRAD_AT).astype(x.dtype)
+    rows = min(th, -(-_BLOCK_PIXELS // (2 * wd)))
+    # input column j sits at band column j + 1; the side columns stay zero
+    band = np.zeros((c, 2 * rows + 2, 2 * tw + 2), dtype=x.dtype)
+    dm_buf = np.empty(16 * max(c, f) * rows * tw, dtype=x.dtype)  # d, then M
+    v_buf = np.empty(16 * c * rows * tw, dtype=x.dtype)
+    y_buf = np.empty(4 * f * rows * tw, dtype=x.dtype)
     for k in range(n):
         for t0 in range(0, th, rows):
-            t1 = min(t0 + rows, th)
-            tiles = (t1 - t0) * tw
+            r = min(rows, th - t0)
+            tiles = r * tw
             first = 2 * t0 - 1  # the input row held by band row 0
-            lo, hi = max(first, 0), min(first + 2 * (t1 - t0) + 2, h)
+            lo, hi = max(first, 0), min(first + 2 * r + 2, h)
             band[:, : lo - first] = 0
-            band[:, lo - first : hi - first, 1, :tw] = x[k, :, lo:hi, 0::2]
-            band[:, lo - first : hi - first, 0, 1 : 1 + wd // 2] = x[k, :, lo:hi, 1::2]
+            band[:, lo - first : hi - first, 1 : 1 + wd] = x[k, :, lo:hi]
             band[:, hi - first :] = 0
-            # row i of every tile in the block; B^T d combines two of them into
-            # e, then e B two of e's columns into v
-            tile_rows = [band[:, i : i + 2 * (t1 - t0) : 2] for i in range(4)]
-            e = e_blk[:, : t1 - t0]
-            tile_cols = [e[:, :, 0, :tw], e[:, :, 1, :tw], e[:, :, 0, 1:], e[:, :, 1, 1:]]
-            v = v_buf[: c * tiles].reshape(c, tiles)
-            m = m_buf[: f * tiles].reshape(f, tiles)
-            r = r_buf[: 8 * f * tiles].reshape(2, 4, f, tiles)  # A^T M, rows a = 0, 1
-            for i, (p, q, row_op) in enumerate(_WINOGRAD_B):
-                row_op(tile_rows[p], tile_rows[q], out=e)
-                for j, (p2, q2, col_op) in enumerate(_WINOGRAD_B):
-                    col_op(tile_cols[p2], tile_cols[q2], out=v.reshape(c, t1 - t0, tw))
-                    # r[a, j] sums A^T[a, i] M[4i + j] as each M arrives; A^T's
-                    # rows are (1,1,1,0) and (0,1,-1,-1)
-                    if i == 0:
-                        np.matmul(u[4 * i + j], v, out=r[0, j])
-                    elif i == 1:
-                        np.matmul(u[4 * i + j], v, out=r[1, j])
-                        r[0, j] += r[1, j]
-                    else:
-                        np.matmul(u[4 * i + j], v, out=m)
-                        if i == 2:
-                            r[0, j] += m
-                        r[1, j] -= m
-            for a in range(2):  # (A^T M) A: output columns 2s and 2s + 1
-                ra = r[a]
-                ya = ra.reshape(4, f, t1 - t0, tw)[:, :, : len(range(2 * t0 + a, min(2 * t1, h), 2))]
-                dst = out[k, :, 2 * t0 + a : 2 * t1 : 2]
-                np.add(ra[0], ra[1], out=ra[0])
-                np.add(ya[0], ya[2], out=dst[:, :, 0::2])
-                np.subtract(ra[1], ra[2], out=ra[1])
-                np.subtract(ya[1, ..., : wd // 2], ya[3, ..., : wd // 2], out=dst[:, :, 1::2])
+            d = dm_buf[: 16 * c * tiles].reshape(4, 4, c, r, tw)
+            for i in range(4):
+                for j in range(4):
+                    d[i, j] = band[:, i : i + 2 * r : 2, j : j + 2 * tw : 2]
+            v = np.matmul(bt, d.reshape(16, c * tiles), out=v_buf[: 16 * c * tiles].reshape(16, c * tiles))
+            m = np.matmul(u, v.reshape(16, c, tiles), out=dm_buf[: 16 * f * tiles].reshape(16, f, tiles))
+            y = np.matmul(at, m.reshape(16, f * tiles), out=y_buf[: 4 * f * tiles].reshape(4, f * tiles))
+            y = y.reshape(2, 2, f, r, tw)
+            for a in range(2):  # output row 2t + a, column 2s + b of tile (t, s), cropped at the edges
+                for b in range(2):
+                    dst = out[k, :, 2 * t0 + a : 2 * (t0 + r) : 2, b::2]
+                    dst[...] = y[a, b, :, : dst.shape[1], : dst.shape[2]]
 
 
 def _add_term(dst: np.ndarray, term: np.ndarray, k: int) -> None:

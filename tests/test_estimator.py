@@ -176,6 +176,18 @@ class TestValidationHelpers:
         with pytest.raises(DataError, match="samples"):
             model.fit(X, np.zeros((5, 3, 32, 32)))
 
+    def test_non_numeric_input_rejected(self, xy):
+        X, y = xy
+        model = quick_model()
+        with pytest.raises(DataError, match="X is not a rectangular array"):
+            model.fit([np.zeros((32, 32)), np.zeros((32, 31))], y)  # ragged
+        with pytest.raises(DataError, match="X must hold real numbers"):
+            model.fit(np.full((6, 32, 32), "a"), y)
+        with pytest.raises(DataError, match="y is not a rectangular array"):
+            model.fit(X, [np.zeros((3, 32, 32))] * 5 + [np.zeros((2, 32, 32))])
+        with pytest.raises(DataError, match="y must hold real numbers"):
+            model.fit(X, np.full((6, 3, 32, 32), "1"))
+
     def test_broken_run_rule_rejected_before_first_step(self, xy, monkeypatch):
         steps = []
         monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))

@@ -253,6 +253,12 @@ class TestShapes:
         with pytest.raises(ShapeError):
             net.forward(np.zeros((1, 1, 16, 16), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 1, 16, 16)], ids=["2-D", "5-D"])
+    def test_input_rank_rejected_with_the_layout(self, shape):
+        net = build_network(small_config("all_dropout"))
+        with pytest.raises(ShapeError, match=r"\(C,H,W\) image or an \(N,C,H,W\) batch"):
+            organ_probabilities(net, np.zeros(shape, dtype=np.float32))
+
 
 class TestForwardSemantics:
     def test_zero_weight_sigmoid_head_gives_half(self):

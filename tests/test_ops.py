@@ -322,9 +322,9 @@ def _conv_and_grads(x, w, b, g):
 
 
 class TestWinogradConv2d:
-    # (N, C, F, H, W) with odd sides; at 67x65 the 34 tile rows of 33 tiles
-    # go in blocks of 8 rows with a ragged last block of 2, whose second
-    # output row is past the map's edge
+    # (N, C, F, H, W) with odd sides; at 67x65 the 34 tile rows go in blocks
+    # of 4 rows with a ragged last block of 2, whose second output row is
+    # past the map's edge
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "shape", [(1, _WC, 3, _WS, _WS), (2, _WC, 4, _WS + 3, _WS + 1), (3, _WC + 1, 2, _WS + 2, _WS + 7)]
@@ -364,6 +364,26 @@ class TestWinogradConv2d:
         for name, value, want in zip(("out", "dx", "dw", "db"), got, batched_im2col_conv2d(x, wt, b, g)):
             assert value.dtype == dtype, name
             assert np.array_equal(value, want), name
+
+    # (N, C, F, H, W): tiny and odd maps whose tiles reach past both edges,
+    # and at 37x17 the 19 tile rows go in a block of 16 (32 output rows of
+    # 17 pixels cover _BLOCK_PIXELS = 512) and a ragged last block of 3;
+    # too few channels to be routed, so only a direct call reaches them
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape", [(1, 2, 3, 1, 1), (2, 3, 2, 1, 2), (1, 2, 3, 2, 1), (2, 3, 4, 5, 3), (2, 3, 2, 37, 17)]
+    )
+    def test_direct_call_matches_float64_direct_reference(self, shape, dtype):
+        tolerance = {np.float32: 5e-6, np.float64: 1e-13}[dtype]
+        n, c, f, h, w = shape
+        rng = Rng(sum(shape))
+        x = rng.child(0).normal((n, c, h, w), dtype=dtype)
+        wt = rng.child(1).normal((f, c, 3, 3), dtype=dtype)
+        out = np.full((n, f, h, w), np.nan, dtype=dtype)
+        ops._winograd3x3(x, wt, out)
+        want = direct_conv2d_3x3(x, wt, np.zeros(f), np.zeros((n, f, h, w)))[0]
+        error = np.abs(out - want).max() / np.abs(want).max()
+        assert error <= tolerance, error
 
     def test_gradients_match_finite_differences(self, monkeypatch):
         rng = Rng(12)

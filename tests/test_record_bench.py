@@ -162,3 +162,20 @@ def test_paired_p_value_is_the_wilcoxon_of_fcxs_stats(monkeypatch, tmp_path):
             assert row["wilcoxon_p"] == expected and row["pairs"] == 7
             better = metric["better"] == "lower"
             assert row["change_won"] == sum((shift[s] < 0) == better for s in seeds)
+
+
+def test_median_gap_is_weighed_against_the_base_interquartile_spread(monkeypatch, tmp_path):
+    # base values 10 ... 50: quartiles 20 and 40, so the spread is 20
+    shift = {"paper_train": -25.0, "paper_infer": -15.0, "desk_cli": 20.0}
+
+    def value(tree, workload, seed):
+        return 10.0 * seed + (shift[workload] if tree == "change" else 0.0)
+
+    _, written = _paired_record(monkeypatch, tmp_path, [1, 2, 3, 4, 5], value)
+    for workload, rows in written["compare"]["workloads"].items():
+        for metric in SPEC["end_to_end"]:
+            row = rows[metric["name"]]
+            assert row["base_iqr"] == 20.0
+            assert row["change"]["median"] - row["base"]["median"] == shift[workload]
+            # only a gap larger than the spread counts, in either direction; 20 is not larger
+            assert row["median_gap_exceeds_base_iqr"] is (workload == "paper_train"), workload

@@ -24,8 +24,10 @@ of these runs also records the child's minor page faults (``minflt``) and
 CPU seconds (``cpu_s``, both cores) from ``getrusage(RUSAGE_CHILDREN)``.
 The base runs go into each workload's ``base_runs``, and a ``compare``
 section holds, per workload and metric, both medians and quartiles, the
-median paired difference in %, the pairs the change won and the
-two-sided Wilcoxon signed-rank p of ``fcxs.stats``:
+median paired difference in %, the pairs the change won, the
+two-sided Wilcoxon signed-rank p of ``fcxs.stats``, the base's
+interquartile spread and whether the two medians lie further apart than
+that spread:
 
     python3 tools/record_bench.py --pr <n> --seeds 1 2 3 4 5 6 7 8 9 10 --base HEAD~1
 """
@@ -130,10 +132,15 @@ def compare(base_runs: list[dict], runs: list[dict], name: str, unit: str, bette
         return None
     base, change = [b for b, _ in pairs], [c for _, c in pairs]
     diffs = [100.0 * (c - b) / b for b, c in pairs if b]
+    base_summary = summarize(base)
+    base_iqr = base_summary["q3"] - base_summary["q1"]
     return {
         "unit": unit,
-        "base": summarize(base),
+        "base": base_summary,
         "change": summarize(change),
+        "base_iqr": base_iqr,
+        # the gain rule: a claimed gain needs the medians further apart than the base's spread
+        "median_gap_exceeds_base_iqr": abs(statistics.median(change) - base_summary["median"]) > base_iqr,
         "median_diff_pct": statistics.median(diffs) if diffs else None,
         "pairs": len(pairs),
         "change_won": sum(c < b if better == "lower" else c > b for b, c in pairs),
