@@ -102,6 +102,8 @@ def _paired_record(monkeypatch, tmp_path, seeds, value):
     assert record_bench.main(["--pr", "9", "--seeds", *map(str, seeds), "--base", "HEAD"]) == 0
     for side in trees.values():  # one copy per side, removed afterwards
         assert len(side) == 1 and not next(iter(side)).exists()
+    # the two sides run from paths of the same length, as memory use depends on it
+    assert len(str(*trees["base"])) == len(str(*trees["change"]))
     return calls, json.loads((tmp_path / "BENCH_9.json").read_text())
 
 

@@ -18,8 +18,9 @@ archive`` into a temporary directory, copies the checkout's tracked files
 as they are on disk into another, and runs each (workload, seed) once in
 each of the two copies, alternating from seed to seed which goes first;
 the traced runs use the checkout's copy too.  Both sides then run from a
-fresh directory outside the checkout, so they differ in their files
-alone, not in where they sit.  Each
+fresh directory outside the checkout, and the two paths have the same
+length (``paper_infer``'s peak RSS moves by up to 7 MB with the length of
+the path it runs from), so they differ in their files alone.  Each
 of these runs also records the child's minor page faults (``minflt``) and
 CPU seconds (``cpu_s``, both cores) from ``getrusage(RUSAGE_CHILDREN)``.
 The base runs go into each workload's ``base_runs``, and a ``compare``
@@ -104,7 +105,7 @@ def extracted(rev: str):
 def copied_checkout():
     """The checkout's tracked files, as they are on disk, copied into a temporary directory, removed afterwards."""
     listing = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True).stdout
-    with tempfile.TemporaryDirectory(prefix="fcxs-change-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="fcxs-head-") as tmp:  # as long as the base's path
         for name in filter(None, listing.decode().split("\0")):
             if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
                 (Path(tmp) / name).parent.mkdir(parents=True, exist_ok=True)
